@@ -29,6 +29,9 @@ test -s results/psim_model.json || { echo "missing results/psim_model.json" >&2;
 echo "==> sched test suite under the instrumented sync backend (PSIM_SYNC=instrument)"
 PSIM_SYNC=instrument cargo test -q -p psim-sched
 
+echo "==> perfbench tests (serve workloads: simulated metrics bit-identical across host threads)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> psim-check (protocol + kernel-semantics validation gate)"
 cargo run -q --release -p psim-bench --bin psim_check
 

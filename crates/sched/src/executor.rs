@@ -24,9 +24,12 @@
 //!   finish time; whenever a lane's deque runs dry it steals the *back*
 //!   of the most-loaded lane. All steal decisions are planned
 //!   single-threaded on simulated state (lane clocks + remaining
-//!   estimated cost) in lane-index order at epoch barriers, then the
-//!   planned groups execute host-parallel and merge in lane order — so
-//!   stealing is a pure function of the batch, never of thread timing.
+//!   estimated cost) in lane-index order at epoch barriers and merge in
+//!   lane order — so stealing is a pure function of the batch, never of
+//!   thread timing. A group's kernels do not depend on its lane (every
+//!   lane is the same device slice), so each admission window's groups
+//!   all execute up front in one host-parallel phase and the epochs only
+//!   consume their outcomes.
 //!
 //! Determinism contract: `shards` is a *simulated resource* parameter and
 //! changes results (a shard is a smaller device), but `host_threads` is
@@ -35,10 +38,10 @@
 //! [`SimStats`] JSON and job values.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use psim_conc::Mutex;
+use psim_conc::{AtomicU64, Mutex};
 use psim_kernels::blas1::Blas1Pim;
 use psim_kernels::{CostModel, KernelRun, PimDevice, SpmmPim, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
 use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
@@ -111,7 +114,9 @@ pub struct ExecutorConfig {
     /// pseudo-channel count).
     pub shards: usize,
     /// Host worker threads (host-side parallelism; never affects
-    /// results). Clamped to the shard count.
+    /// results) that execute each admission window's kernels. Clamped to
+    /// `1..=shards` by [`ExecutorConfig::worker_threads`], which both
+    /// execution and the [`HostStats`] reports use.
     pub host_threads: usize,
     /// Run every job with the independent protocol checker attached and
     /// fail jobs whose command streams violate the JEDEC contract. On by
@@ -193,6 +198,13 @@ impl ExecutorConfig {
         self.autotune = true;
         self
     }
+
+    /// The host threads actually used: `host_threads` clamped to
+    /// `1..=shards`.
+    #[must_use]
+    pub fn worker_threads(&self) -> usize {
+        self.host_threads.clamp(1, self.shards.max(1))
+    }
 }
 
 /// One finished job with its service accounting.
@@ -259,10 +271,16 @@ pub struct ShardExecutor {
     /// Tuned-layout memo, keyed by matrix identity (`Arc` pointer — the
     /// same key fusion uses): a [`MatrixStore`](crate::MatrixStore)-
     /// resident matrix is analyzed once, at its first job, and every
-    /// later job against the same handle reuses the decision. Shared
-    /// across clones so a service front-end and its workers agree.
-    tuned: Arc<Mutex<HashMap<usize, Layout>>>,
+    /// later job against the same handle reuses the decision. Each entry
+    /// holds a `Weak` to its matrix, which keeps the allocation — and so
+    /// the key's address — from being reused while the entry lives;
+    /// entries whose matrix is gone are pruned on insert. Shared across
+    /// clones so a service front-end and its workers agree.
+    tuned: Arc<Mutex<TunedMemo>>,
 }
+
+/// Matrix address → (the matrix, its tuned layout).
+type TunedMemo = HashMap<usize, (Weak<Coo>, Layout)>;
 
 impl ShardExecutor {
     /// Build an executor, validating the shard split.
@@ -321,7 +339,7 @@ impl ShardExecutor {
             return Layout::baseline();
         }
         let key = Arc::as_ptr(a) as usize;
-        let cached = self.tuned.lock().get(&key).copied();
+        let cached = self.tuned.lock().get(&key).map(|&(_, layout)| layout);
         let mut layout = cached.unwrap_or_else(|| {
             // Decide outside the lock (the pass walks all of `a`), then
             // keep whichever decision reached the memo first — decide()
@@ -329,7 +347,9 @@ impl ShardExecutor {
             let choice = Autotuner::new(&self.shard_device)
                 .decide(a, precision)
                 .choice;
-            *self.tuned.lock().entry(key).or_insert(choice)
+            let mut memo = self.tuned.lock();
+            memo.retain(|_, (matrix, _)| matrix.strong_count() > 0);
+            memo.entry(key).or_insert((Arc::downgrade(a), choice)).1
         });
         if !(mul == BinaryOp::Mul && acc == BinaryOp::Add) {
             layout.format = MatrixFormat::Coo;
@@ -389,7 +409,6 @@ impl ShardExecutor {
     pub fn run_jobs(&self, jobs: Vec<Job>) -> Result<BatchReport, SchedError> {
         let started = Instant::now();
         let shards = self.cfg.shards;
-        let threads = self.cfg.host_threads.clamp(1, shards);
         let mut engine = LaneEngine::new(shards);
         engine.feed(self, jobs);
         let mut completed = Vec::new();
@@ -402,7 +421,7 @@ impl ShardExecutor {
                 sim,
                 host: HostStats {
                     walltime_s: started.elapsed().as_secs_f64(),
-                    threads,
+                    threads: self.cfg.worker_threads(),
                 },
             },
         })
@@ -481,7 +500,7 @@ impl ShardExecutor {
     /// Execute one group on the shard device: the fused SpMM pass for
     /// multi-member groups, the job's own kernel for singletons. Returns
     /// one value per member (member order) plus the group's [`KernelRun`].
-    fn run_group(&self, group: &Group) -> Result<(Vec<JobValue>, KernelRun), SchedError> {
+    fn run_group(&self, group: &Group) -> GroupOutcome {
         let leader = &group.jobs[0];
         let fail = |e: String| SchedError::JobFailed {
             id: leader.id,
@@ -591,6 +610,10 @@ fn fusion_key(job: &Job) -> Option<FusionKey> {
     }
 }
 
+/// One value per group member (member order) plus the group's
+/// [`KernelRun`], or the leader's failure.
+type GroupOutcome = Result<(Vec<JobValue>, KernelRun), SchedError>;
+
 /// One execution unit: a fused SpMV group or a singleton of any kind.
 #[derive(Debug)]
 struct Group {
@@ -600,6 +623,9 @@ struct Group {
     cost: u64,
     /// The group becomes runnable when its latest member has arrived.
     arrival_s: f64,
+    /// The kernels' result, filled in by the window's execution phase
+    /// before any epoch plans the group.
+    outcome: Option<GroupOutcome>,
 }
 
 impl Group {
@@ -608,6 +634,7 @@ impl Group {
             arrival_s: job.spec.arrival_s,
             cost: 0,
             jobs: vec![job],
+            outcome: None,
         }
     }
 }
@@ -622,13 +649,18 @@ impl Group {
 ///   *projected finish* (`clock + remaining_cost × scale`), ties to the
 ///   lowest lane index. With idle lanes this degenerates to the classic
 ///   least-loaded greedy.
+/// * **execute** — every dealt group's kernels run once, in one
+///   host-parallel phase per admission window. A group's outcome is a
+///   pure function of the group (every lane is the same device slice);
+///   only lane choice, clocks, steals and merge order depend on the
+///   schedule, so execution need not wait for planning.
 /// * **epoch loop** — each epoch plans at most one group per lane,
 ///   single-threaded in lane-index order: a lane pops its own front, or
 ///   steals from the *back* of the lane with the most remaining estimated
 ///   cost — but only when the thief's projected finish of the stolen
 ///   group beats the victim's projected finish of its whole queue (a
 ///   steal that wouldn't help is not a steal). The planned groups then
-///   execute host-parallel and merge in lane order.
+///   merge their precomputed outcomes in lane order.
 ///
 /// Every decision reads only simulated state, so the schedule — and
 /// therefore every statistic — is a pure function of the fed batches,
@@ -724,55 +756,88 @@ impl LaneEngine {
         plan
     }
 
-    /// Run epochs until every lane's deque is empty, streaming each
+    /// Execute every queued group that has no outcome yet — one
+    /// admission window's worth after [`LaneEngine::feed`] — in a single
+    /// host-parallel phase. Workers pull the next group from a shared
+    /// index, largest estimated cost first, so long kernels start early
+    /// and short ones fill the tail. Outcomes depend only on the group, so
+    /// threads never influence results.
+    fn execute_pending(&mut self, exec: &ShardExecutor) {
+        let pending: Vec<&Group> = self
+            .lanes
+            .iter()
+            .flatten()
+            .filter(|g| g.outcome.is_none())
+            .collect();
+        // Under the interleaving explorer raw scoped threads would be
+        // invisible to the model scheduler, so execution degrades to
+        // serial there — same results by the determinism contract, every
+        // schedule decision stays explorable.
+        let threads = if psim_conc::model::in_model() {
+            1
+        } else {
+            exec.cfg.worker_threads().min(pending.len())
+        };
+        let outcomes: Vec<Option<GroupOutcome>> = if threads <= 1 {
+            pending.iter().map(|g| Some(exec.run_group(g))).collect()
+        } else {
+            let mut order: Vec<usize> = (0..pending.len()).collect();
+            order.sort_by_key(|&i| std::cmp::Reverse(pending[i].cost));
+            let next = AtomicU64::new(0);
+            let work = || {
+                let mut done = Vec::new();
+                while let Some(&i) = order.get(next.fetch_add(1) as usize) {
+                    done.push((i, exec.run_group(pending[i])));
+                }
+                done
+            };
+            let done = std::thread::scope(|s| {
+                let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+                let mut done = work();
+                for helper in helpers {
+                    done.extend(
+                        helper
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    );
+                }
+                done
+            });
+            let mut slots: Vec<Option<GroupOutcome>> = pending.iter().map(|_| None).collect();
+            for (i, outcome) in done {
+                slots[i] = Some(outcome);
+            }
+            slots
+        };
+        let pending = self
+            .lanes
+            .iter_mut()
+            .flatten()
+            .filter(|g| g.outcome.is_none());
+        for (group, outcome) in pending.zip(outcomes) {
+            group.outcome = outcome;
+        }
+    }
+
+    /// Execute the fed groups (see [`LaneEngine::execute_pending`]), then
+    /// run epochs until every lane's deque is empty, streaming each
     /// completed job (leader first within a group, groups in lane order
-    /// within an epoch) into `sink`.
+    /// within an epoch) into `sink`. A failed group's error surfaces at
+    /// its place in that merge order.
     pub(crate) fn run_until_dry(
         &mut self,
         exec: &ShardExecutor,
         sink: &mut dyn FnMut(CompletedJob),
     ) -> Result<(), SchedError> {
-        type GroupOutcome = Result<(Vec<JobValue>, KernelRun), SchedError>;
-        // Under the interleaving explorer raw scoped threads would be
-        // invisible to the model scheduler, so the lane path degrades to
-        // serial execution there — same results by the determinism
-        // contract, every schedule decision stays explorable.
-        let threads = if psim_conc::model::in_model() {
-            1
-        } else {
-            exec.cfg.host_threads.max(1)
-        };
+        self.execute_pending(exec);
         loop {
             let plan = self.plan_epoch();
             if plan.is_empty() {
                 return Ok(());
             }
-            // Execute the planned groups host-parallel. Kernel results
-            // depend only on the group (every lane is the same device
-            // slice), so threads never influence outcomes.
-            let mut slots: Vec<Option<GroupOutcome>> = plan.iter().map(|_| None).collect();
-            if threads <= 1 || plan.len() <= 1 {
-                for ((_, group), slot) in plan.iter().zip(slots.iter_mut()) {
-                    *slot = Some(exec.run_group(group));
-                }
-            } else {
-                let mut buckets: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-                for (i, ((_, group), slot)) in plan.iter().zip(slots.iter_mut()).enumerate() {
-                    buckets[i % threads].push((group, slot));
-                }
-                std::thread::scope(|s| {
-                    for bucket in buckets {
-                        s.spawn(|| {
-                            for (group, slot) in bucket {
-                                *slot = Some(exec.run_group(group));
-                            }
-                        });
-                    }
-                });
-            }
             // Merge in plan (lane) order, advancing simulated clocks.
-            for ((lane, group), slot) in plan.into_iter().zip(slots) {
-                let (values, run) = slot.expect("every planned group executed")?;
+            for (lane, mut group) in plan {
+                let (values, run) = group.outcome.take().expect("every queued group executed")?;
                 let service_s = run.total_s();
                 let start_s = self.clocks[lane].max(group.arrival_s);
                 self.clocks[lane] = start_s + service_s;
@@ -1021,6 +1086,63 @@ mod tests {
     }
 
     #[test]
+    fn window_executes_once_and_errors_surface_in_merge_order() {
+        // Four equal jobs on two lanes: epoch 1 merges jobs 0 and 1,
+        // epoch 2 merges jobs 2 (lane 0) and 3 (lane 1). Failing jobs 2
+        // and 3 must stop the run at job 2 — the first failure in merge
+        // order — after jobs 0 and 1 reached the sink. Outcomes already
+        // present are not executed again.
+        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 2)).unwrap();
+        let mut engine = LaneEngine::new(2);
+        engine.feed(
+            &exec,
+            (0..4u64)
+                .map(|i| Job {
+                    id: i,
+                    spec: scal_job("t", 32),
+                })
+                .collect(),
+        );
+        let ids = |lane: &VecDeque<Group>| lane.iter().map(|g| g.jobs[0].id).collect::<Vec<_>>();
+        assert_eq!(ids(&engine.lanes[0]), vec![0, 2]);
+        assert_eq!(ids(&engine.lanes[1]), vec![1, 3]);
+        for lane in &mut engine.lanes {
+            let group = lane.back_mut().unwrap();
+            group.outcome = Some(Err(SchedError::JobFailed {
+                id: group.jobs[0].id,
+                error: "injected".into(),
+            }));
+        }
+        let mut merged = Vec::new();
+        let err = engine
+            .run_until_dry(&exec, &mut |job| merged.push(job.id))
+            .unwrap_err();
+        assert_eq!(merged, vec![0, 1]);
+        assert!(matches!(err, SchedError::JobFailed { id: 2, .. }), "{err}");
+    }
+
+    #[test]
+    fn tuned_memo_forgets_dropped_matrices() {
+        let cfg = ExecutorConfig::serial(PimDevice::tiny(2)).with_autotune();
+        let exec = ShardExecutor::new(cfg).unwrap();
+        let tune =
+            |a: &Arc<Coo>| exec.tuned_layout(a, Precision::Fp64, BinaryOp::Mul, BinaryOp::Add);
+        let a = Arc::new(psim_sparse::gen::rmat(32, 2, 3));
+        tune(&a);
+        let dead_key = Arc::as_ptr(&a) as usize;
+        drop(a);
+        // The entry's Weak still holds the dropped matrix's allocation, so
+        // a new matrix cannot inherit its key (and its layout)...
+        let b = Arc::new(psim_sparse::gen::rmat(32, 2, 4));
+        let live_key = Arc::as_ptr(&b) as usize;
+        assert_ne!(live_key, dead_key);
+        // ...and the next insert prunes the dead entry.
+        tune(&b);
+        let memo = exec.tuned.lock();
+        assert_eq!(memo.keys().copied().collect::<Vec<_>>(), vec![live_key]);
+    }
+
+    #[test]
     fn analytical_tier_sees_serialization_the_heuristic_misses() {
         // Two SpTRSV jobs with identical nnz: a pure dependency chain
         // (n levels, one launch each) and a star (every row depends only
@@ -1235,7 +1357,9 @@ mod tests {
             }
             let exec = ShardExecutor::new(cfg).unwrap();
             if autotune {
-                exec.tuned.lock().insert(Arc::as_ptr(&a) as usize, blocked);
+                exec.tuned
+                    .lock()
+                    .insert(Arc::as_ptr(&a) as usize, (Arc::downgrade(&a), blocked));
             }
             let report = exec.drain_and_run(&queue).unwrap();
             (exec, report.jobs[0].value.clone())

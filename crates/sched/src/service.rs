@@ -122,7 +122,7 @@ impl Service {
                 sim: acc.finish(),
                 host: HostStats {
                     walltime_s: started.elapsed().as_secs_f64(),
-                    threads: self.exec.config().host_threads,
+                    threads: self.exec.config().worker_threads(),
                 },
             },
         })
@@ -172,6 +172,21 @@ mod tests {
         // Arrivals are honored: no wait can be negative, and the makespan
         // at least reaches the last arrival.
         assert!(report.stats.sim.makespan_s >= 15.0 * 1e-5);
+    }
+
+    #[test]
+    fn service_reports_host_threads_clamped_to_shards() {
+        let mut cfg = ExecutorConfig::sharded(PimDevice::tiny(2), 2);
+        cfg.host_threads = 8;
+        let queue = JobQueue::bounded(4);
+        queue
+            .submit(JobSpec::batch("t", JobKind::Norm2 { x: vec![3.0, 4.0] }))
+            .unwrap();
+        queue.close();
+        let svc = Service::new(ServiceConfig::new(cfg)).unwrap();
+        let report = svc.run(&queue, &mut |_| {}).unwrap();
+        assert_eq!(report.stats.sim.jobs, 1);
+        assert_eq!(report.stats.host.threads, 2);
     }
 
     #[test]

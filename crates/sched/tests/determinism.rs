@@ -1,15 +1,18 @@
 //! Determinism contract of the sharded executor: the host thread count is
 //! a pure performance knob — an N-thread run must be *byte-identical* to a
 //! serial run of the same batch (job values, shard placement, and the
-//! serialized simulated statistics), for hand-built batches and for
-//! proptest-generated random multi-tenant job mixes.
+//! serialized simulated statistics), for hand-built batches, for
+//! proptest-generated random multi-tenant job mixes, and for `Service`
+//! runs whose admission windows need many epochs and steals.
 
 use proptest::prelude::*;
 use psim_kernels::PimDevice;
 use psim_sched::{
-    BatchReport, ExecutorConfig, JobClass, JobKind, JobQueue, JobSpec, ShardExecutor,
+    BatchReport, CompletedJob, CostTier, ExecutorConfig, JobClass, JobKind, JobQueue, JobSpec,
+    Service, ServiceConfig, ShardExecutor, SimStats,
 };
 use psim_sparse::gen;
+use psim_sparse::triangular::{unit_triangular_from, Triangle};
 use psim_sparse::Coo;
 use serde::Serialize;
 use std::sync::Arc;
@@ -45,8 +48,13 @@ fn run_with_threads(specs: &[JobSpec], shards: usize, threads: usize) -> BatchRe
 /// Everything that must be reproducible: the deterministic half of the
 /// stats plus every job's placement and numeric result.
 fn fingerprint(report: &BatchReport) -> String {
-    let mut s = report.stats.sim.to_json();
-    for job in &report.jobs {
+    fingerprint_jobs(&report.stats.sim, &report.jobs)
+}
+
+/// [`fingerprint`] over simulated stats and jobs sorted by id.
+fn fingerprint_jobs(sim: &SimStats, jobs: &[CompletedJob]) -> String {
+    let mut s = sim.to_json();
+    for job in jobs {
         s.push_str(&format!(
             "|{}:{}:{}:{}:{}:{:x}:{:x}",
             job.id,
@@ -131,6 +139,90 @@ fn shard_count_is_a_simulated_parameter_not_noise() {
         let one = run_with_threads(&specs, shards, 1);
         let many = run_with_threads(&specs, shards, 4);
         assert_eq!(fingerprint(&one), fingerprint(&many), "shards = {shards}");
+    }
+}
+
+/// A `Service` run in the `serve_mixed` shape: autotuning and the
+/// analytical cost tier on, an open-arrival SpMV/SpTRSV/BLAS-1 mix over a
+/// small shared matrix pool, and an admission window eight times the
+/// shard count, so each window spans many epochs and lanes steal.
+fn run_service(threads: usize, fusion: usize) -> String {
+    const SHARDS: usize = 4;
+    let pool: Vec<Arc<Coo>> = [(32, 2), (48, 3), (64, 3)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(n, d))| Arc::new(gen::rmat(n, d, 40 + i as u64)))
+        .collect();
+    let queue = JobQueue::bounded(160);
+    for i in 0..160usize {
+        let a = &pool[(i * 7 + i / 5) % pool.len()];
+        let n = a.nrows();
+        let x = gen::dense_vector(n, i as u64);
+        let tenant = ["ana", "ben", "cai"][i % 3];
+        let kind = match i % 8 {
+            3 => JobKind::Sptrsv {
+                t: Arc::new(unit_triangular_from(a, Triangle::Lower).unwrap()),
+                b: x,
+            },
+            5 => JobKind::Axpy {
+                alpha: 0.25,
+                y: gen::dense_vector(n, i as u64 + 1),
+                x,
+            },
+            6 => JobKind::Dot {
+                y: gen::dense_vector(n, i as u64 + 2),
+                x,
+            },
+            7 => JobKind::Norm2 { x },
+            _ => JobKind::spmv(Arc::clone(a), x),
+        };
+        let class = if i % 8 >= 5 {
+            JobClass::Interactive
+        } else {
+            JobClass::Batch
+        };
+        let spec = JobSpec::batch(tenant, kind)
+            .with_class(class)
+            .at(i as f64 * 2e-7);
+        queue.submit(spec).unwrap();
+    }
+    queue.close();
+    let mut exec = ExecutorConfig::sharded(PimDevice::tiny(SHARDS), SHARDS)
+        .with_fusion(fusion)
+        .with_autotune()
+        .with_cost_tier(CostTier::Analytical);
+    exec.host_threads = threads;
+    exec.trace = true;
+    let svc = Service::new(ServiceConfig {
+        exec,
+        window: 8 * SHARDS,
+    })
+    .unwrap();
+    let mut jobs = Vec::new();
+    let report = svc.run(&queue, &mut |job| jobs.push(job)).unwrap();
+    assert_eq!(jobs.len(), 160);
+    assert!(report.stats.sim.steals > 0, "windows must make lanes steal");
+    if fusion > 1 {
+        assert!(
+            report.stats.sim.fused_jobs > 0,
+            "same-matrix SpMV must fuse"
+        );
+    }
+    jobs.sort_by_key(|j| j.id);
+    fingerprint_jobs(&report.stats.sim, &jobs)
+}
+
+#[test]
+fn service_runs_are_byte_identical_across_threads() {
+    for fusion in [1, 16] {
+        let serial = run_service(1, fusion);
+        for threads in [2, 8] {
+            assert_eq!(
+                serial,
+                run_service(threads, fusion),
+                "fusion {fusion}: {threads} host threads diverged from serial"
+            );
+        }
     }
 }
 
