@@ -1,73 +1,53 @@
-//! psim-fastpath: the two-tier engine and analytical-cost-model CI gate.
+//! psim-fastpath: the engine-fingerprint and analytical-cost-model CI gate.
 //!
 //! Three gates plus a machine-readable report:
 //!
-//! 1. **Equivalence** — the kernel battery runs under the tick reference
-//!    tier and the event fast path with validation on (and, on the small
-//!    device, with psim-trace attribution on); the serialized run reports
-//!    and every numeric output must be bit-identical, and the kernel
-//!    self-test battery must pass under both tiers in both execution
+//! 1. **Self-test** — the kernel self-test battery (values against CPU
+//!    references, protocol checker attached) passes in both execution
 //!    modes.
-//! 2. **Throughput** — the same battery with validation off, timed on the
-//!    engine wall clock; the event tier must simulate the battery at
-//!    least [`SPEEDUP_FLOOR`]× faster than the tick tier in aggregate.
+//! 2. **Fingerprints** — the 13-kernel fingerprint battery
+//!    ([`psim_kernels::fingerprint`]: every serialized `KernelRun` field
+//!    plus the output bits, on a validated full-size device and a traced
+//!    small one, in both modes) matches the committed
+//!    `tests/goldens/engine_fingerprints.json`, which pins the original
+//!    command-by-command reference engine. `PSIM_BLESS=1` re-blesses it
+//!    after an intentional model change.
 //! 3. **Calibration** — the O(nnz) analytical [`CostModel`] estimate vs
 //!    the cycle engine across kernel × matrix-class pairs; each kernel's
 //!    mean absolute percentage error must stay under [`MAPE_BOUND_PCT`].
 //!
 //! Writes `results/BENCH_fastpath.json`; exits non-zero on any gate
-//! failure so CI catches a fast-path divergence or cost-model drift the
-//! moment it appears.
-//!
-//! Knobs: `FP_N` / `FP_DEG` size the throughput battery (default 300 / 5),
-//! `FP_REPS` its repetition count (default 10).
+//! failure so CI catches an engine divergence or cost-model drift the
+//! moment it appears. Host speed is guarded by the repo benchmark
+//! (`perfbench/`), not here.
 
 use psim_kernels::blas1::Blas1Pim;
-use psim_kernels::gemv::Gemv;
+use psim_kernels::fingerprint;
 use psim_kernels::{all_pass, selftest, CostModel, KernelRun, PimDevice, SpmvPim, SptrsvPim};
-use psim_sparse::dense::SparseVec;
-use psim_sparse::triangular::{unit_triangular_from, Triangle, UnitTriangular};
+use psim_sparse::triangular::{unit_triangular_from, Triangle};
 use psim_sparse::{gen, Precision};
 use psyncpim_core::isa::BinaryOp;
-use psyncpim_core::{take_engine_wall_s, EngineTier, ExecMode};
+use psyncpim_core::ExecMode;
 use serde::Serialize;
-
-/// The event tier must run the battery at least this much faster than the
-/// tick tier in aggregate (engine wall seconds, tick / event). Measured
-/// headroom on the default battery shape is ≈1.9×; the floor leaves slack
-/// for host noise and smaller problem sizes.
-const SPEEDUP_FLOOR: f64 = 1.3;
+use std::path::Path;
 
 /// Per-kernel calibration bound: mean absolute percentage error of the
 /// analytical estimate vs the cycle engine over that kernel's matrix
 /// classes.
 const MAPE_BOUND_PCT: f64 = 25.0;
 
-/// Self-test outcome under one (tier, mode) combination.
+/// The committed engine fingerprints.
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/goldens/engine_fingerprints.json"
+);
+
+/// Self-test outcome in one execution mode.
 #[derive(Serialize)]
 struct SelftestRow {
-    tier: &'static str,
     mode: &'static str,
     checks: usize,
     ok: bool,
-}
-
-/// Tick-vs-event fingerprint comparison for one kernel on one device.
-#[derive(Serialize)]
-struct EquivRow {
-    kernel: &'static str,
-    device: &'static str,
-    ok: bool,
-}
-
-/// Engine wall time for one kernel under both tiers.
-#[derive(Serialize)]
-struct ThroughputRow {
-    kernel: &'static str,
-    cycles: u64,
-    tick_wall_s: f64,
-    event_wall_s: f64,
-    speedup: f64,
 }
 
 /// One analytical-estimate-vs-engine comparison.
@@ -95,165 +75,14 @@ struct MapeRow {
 #[derive(Serialize)]
 struct FastpathReport {
     selftests: Vec<SelftestRow>,
-    equivalence: Vec<EquivRow>,
-    throughput: Vec<ThroughputRow>,
-    aggregate_speedup: f64,
-    speedup_floor: f64,
+    /// Fingerprints compared against the golden.
+    fingerprints: usize,
+    /// One message per fingerprint that differs from the golden.
+    fingerprint_mismatches: Vec<String>,
     calibration: Vec<CalRow>,
     mape: Vec<MapeRow>,
     mape_bound_pct: f64,
     violations: usize,
-}
-
-/// Shared operand set for the kernel battery.
-struct Inputs {
-    a: psim_sparse::Coo,
-    x: Vec<f64>,
-    y: Vec<f64>,
-    zeros: Vec<f64>,
-    t: UnitTriangular,
-    b: Vec<f64>,
-    src: Vec<f64>,
-    sp: SparseVec,
-    m: Vec<f64>,
-    xg: Vec<f64>,
-    nr: usize,
-    nc: usize,
-}
-
-fn inputs(n: usize, deg: usize) -> Inputs {
-    let a = gen::rmat(n, deg, 0xA11CE);
-    let x = gen::dense_vector(n, 1);
-    let y = gen::dense_vector(n, 2);
-    let t = unit_triangular_from(&a, Triangle::Lower).expect("square matrix");
-    let b = t.matvec(&x);
-    let mut src = vec![0.0; n];
-    for v in src.iter_mut().step_by(7) {
-        *v = 0.5;
-    }
-    let sp = SparseVec::gather(&src);
-    let (nr, nc) = (24usize, 20usize);
-    let m = gen::dense_vector(nr * nc, 3);
-    let xg = gen::dense_vector(nc, 4);
-    Inputs {
-        a,
-        x,
-        y,
-        zeros: vec![0.0; n],
-        t,
-        b,
-        src,
-        sp,
-        m,
-        xg,
-        nr,
-        nc,
-    }
-}
-
-/// Run every battery kernel on `device`, handing each one to `visit` as a
-/// replayable closure returning its run report and numeric outputs.
-fn battery(
-    device: &PimDevice,
-    inp: &Inputs,
-    mut visit: impl FnMut(&'static str, &mut dyn FnMut() -> (KernelRun, Vec<f64>)),
-) {
-    let d = device.clone();
-    let blas = Blas1Pim::new(d.clone(), Precision::Fp64);
-    let gemv = Gemv::new(d.clone(), Precision::Fp64);
-    visit("SpMV", &mut || {
-        let r = SpmvPim::new(d.clone(), Precision::Fp64)
-            .run(&inp.a, &inp.x)
-            .unwrap();
-        (r.run, r.y)
-    });
-    visit("SpTRSV", &mut || {
-        let r = SptrsvPim::new(d.clone()).run(&inp.t, &inp.b).unwrap();
-        (r.run, r.x)
-    });
-    visit("DCOPY", &mut || {
-        let r = blas.dcopy(&inp.x).unwrap();
-        (r.run, r.v)
-    });
-    visit("DSCAL", &mut || {
-        let r = blas.dscal(1.5, &inp.x).unwrap();
-        (r.run, r.v)
-    });
-    visit("DAXPY", &mut || {
-        let r = blas.daxpy(-0.5, &inp.x, &inp.y).unwrap();
-        (r.run, r.v)
-    });
-    visit("DVDV", &mut || {
-        let r = blas.dvdv(&inp.x, &inp.y, BinaryOp::Mul).unwrap();
-        (r.run, r.v)
-    });
-    visit("DDOT", &mut || {
-        let r = blas.ddot(&inp.x, &inp.y).unwrap();
-        (r.run, vec![r.s])
-    });
-    visit("DNRM2", &mut || {
-        let r = blas.dnrm2(&inp.x).unwrap();
-        (r.run, vec![r.s])
-    });
-    visit("GATHER", &mut || {
-        let (_, run) = blas.gather(&inp.src).unwrap();
-        (run, Vec::new())
-    });
-    visit("SCATTER", &mut || {
-        let r = blas.scatter(&inp.sp, &inp.zeros).unwrap();
-        (r.run, r.v)
-    });
-    visit("SpAXPY", &mut || {
-        let r = blas.spaxpy(2.0, &inp.sp, &inp.y).unwrap();
-        (r.run, r.v)
-    });
-    visit("SpDOT", &mut || {
-        let r = blas.spdot(&inp.sp, &inp.y).unwrap();
-        (r.run, vec![r.s])
-    });
-    visit("DGEMV", &mut || {
-        let r = gemv.dgemv(&inp.m, inp.nr, inp.nc, &inp.xg).unwrap();
-        (r.run, r.y)
-    });
-}
-
-/// Bit-exact fingerprint of one battery pass: the serialized run report
-/// (cycles, commands, energy, attribution, metrics when tracing) plus the
-/// raw bits of every numeric output.
-fn fingerprints(device: &PimDevice, inp: &Inputs) -> Vec<(&'static str, String)> {
-    let mut out = Vec::new();
-    battery(device, inp, |name, run| {
-        let (r, vals) = run();
-        let mut fp = r.to_json();
-        for v in &vals {
-            fp.push_str(&format!(",{:x}", v.to_bits()));
-        }
-        out.push((name, fp));
-    });
-    out
-}
-
-/// Engine wall seconds and simulated cycles per kernel over `reps`
-/// repetitions (one unmeasured warm-up pass each).
-fn timed_battery(device: &PimDevice, inp: &Inputs, reps: usize) -> Vec<(&'static str, u64, f64)> {
-    let mut out = Vec::new();
-    battery(device, inp, |name, run| {
-        run();
-        let _ = take_engine_wall_s();
-        let mut cycles = 0u64;
-        for _ in 0..reps {
-            cycles += run().0.dram_cycles;
-        }
-        out.push((name, cycles, take_engine_wall_s()));
-    });
-    out
-}
-
-fn tier_label(tier: EngineTier) -> &'static str {
-    match tier {
-        EngineTier::Tick => "tick",
-        EngineTier::Event => "event",
-    }
 }
 
 fn mode_label(mode: ExecMode) -> &'static str {
@@ -263,135 +92,59 @@ fn mode_label(mode: ExecMode) -> &'static str {
     }
 }
 
-fn with_tier(mut device: PimDevice, tier: EngineTier) -> PimDevice {
-    device.tier = tier;
-    device
-}
-
-/// Gate 1a: the self-test battery under every (tier, mode) combination.
+/// Gate 1: the self-test battery once per execution mode.
 fn run_selftests(violations: &mut usize) -> Vec<SelftestRow> {
     let mut rows = Vec::new();
     for mode in [ExecMode::AllBank, ExecMode::PerBank] {
-        for tier in [EngineTier::Tick, EngineTier::Event] {
-            let mut d = PimDevice::tiny(2);
-            d.mode = mode;
-            d.tier = tier;
-            let (checks, ok) = match selftest(&d) {
-                Ok(results) => {
-                    for r in results.iter().filter(|r| !r.pass) {
-                        println!(
-                            "selftest\t{}\t{}\t{}\tFAIL\tmax_err={:.3e}",
-                            tier_label(tier),
-                            mode_label(mode),
-                            r.kernel,
-                            r.max_err
-                        );
-                    }
-                    (results.len(), all_pass(&results))
-                }
-                Err(e) => {
-                    println!(
-                        "selftest\t{}\t{}\tERROR\t{e}",
-                        tier_label(tier),
-                        mode_label(mode)
-                    );
-                    (0, false)
-                }
-            };
-            if !ok {
-                *violations += 1;
-            }
-            rows.push(SelftestRow {
-                tier: tier_label(tier),
-                mode: mode_label(mode),
-                checks,
-                ok,
-            });
-        }
-    }
-    rows
-}
-
-/// Gate 1b: tick-vs-event battery fingerprints on a validated full-size
-/// device and a traced small one.
-fn run_equivalence(violations: &mut usize) -> Vec<EquivRow> {
-    let mut rows = Vec::new();
-    let small = inputs(96, 4);
-    let full = {
-        let mut d = PimDevice::psync_1x();
-        d.validate = true;
-        d
-    };
-    let traced = {
         let mut d = PimDevice::tiny(2);
-        d.validate = true;
-        d.trace = true;
-        d
-    };
-    for (device, label) in [(full, "psync_1x+validate"), (traced, "tiny+trace")] {
-        let tick = fingerprints(&with_tier(device.clone(), EngineTier::Tick), &small);
-        let event = fingerprints(&with_tier(device, EngineTier::Event), &small);
-        for ((kernel, t), (_, e)) in tick.iter().zip(event.iter()) {
-            let ok = t == e;
-            if !ok {
-                println!("equiv\tVIOLATION\t{label}\t{kernel}\ttick and event fingerprints differ");
-                *violations += 1;
+        d.mode = mode;
+        let (checks, ok) = match selftest(&d) {
+            Ok(results) => {
+                for r in results.iter().filter(|r| !r.pass) {
+                    println!(
+                        "selftest\t{}\t{}\tFAIL\tmax_err={:.3e}",
+                        mode_label(mode),
+                        r.kernel,
+                        r.max_err
+                    );
+                }
+                (results.len(), all_pass(&results))
             }
-            rows.push(EquivRow {
-                kernel,
-                device: label,
-                ok,
-            });
+            Err(e) => {
+                println!("selftest\t{}\tERROR\t{e}", mode_label(mode));
+                (0, false)
+            }
+        };
+        if !ok {
+            *violations += 1;
         }
-    }
-    rows
-}
-
-/// Gate 2: battery throughput, tick vs event.
-fn run_throughput(violations: &mut usize) -> (Vec<ThroughputRow>, f64) {
-    let env_usize = |key: &str, default: usize| {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let n = env_usize("FP_N", 300);
-    let deg = env_usize("FP_DEG", 5);
-    let reps = env_usize("FP_REPS", 10);
-    let inp = inputs(n, deg);
-    let mut d = PimDevice::psync_1x();
-    d.validate = false;
-    let tick = timed_battery(&with_tier(d.clone(), EngineTier::Tick), &inp, reps);
-    let event = timed_battery(&with_tier(d, EngineTier::Event), &inp, reps);
-
-    println!("# throughput (n={n}, deg={deg}, reps={reps})");
-    println!("# kernel\tcycles\ttick s\tevent s\tspeedup");
-    let mut rows = Vec::new();
-    let (mut tick_total, mut event_total) = (0.0f64, 0.0f64);
-    for ((kernel, cycles, tw), (_, _, ew)) in tick.iter().zip(event.iter()) {
-        tick_total += tw;
-        event_total += ew;
-        let speedup = tw / ew;
-        println!("{kernel}\t{cycles}\t{tw:.4}\t{ew:.4}\t{speedup:.2}x");
-        rows.push(ThroughputRow {
-            kernel,
-            cycles: *cycles,
-            tick_wall_s: *tw,
-            event_wall_s: *ew,
-            speedup,
+        rows.push(SelftestRow {
+            mode: mode_label(mode),
+            checks,
+            ok,
         });
     }
-    let aggregate = tick_total / event_total;
-    println!(
-        "AGGREGATE\t-\t{tick_total:.4}\t{event_total:.4}\t{aggregate:.2}x (floor {SPEEDUP_FLOOR}x)"
-    );
-    if aggregate < SPEEDUP_FLOOR {
-        println!(
-            "throughput\tVIOLATION\taggregate speedup {aggregate:.2}x below floor {SPEEDUP_FLOOR}x"
-        );
-        *violations += 1;
+    rows
+}
+
+/// Gate 2: the fingerprint battery against the committed golden. Returns
+/// the number of fingerprints and one message per mismatch.
+fn run_fingerprints(violations: &mut usize) -> (usize, Vec<String>) {
+    let fps = fingerprint::engine_fingerprints();
+    let diffs = fingerprint::check_golden(Path::new(GOLDEN), &fps).unwrap_or_else(|e| {
+        eprintln!("psim-fastpath: cannot read {GOLDEN} ({e}); run with PSIM_BLESS=1");
+        std::process::exit(1);
+    });
+    for d in &diffs {
+        println!("fingerprint\tVIOLATION\t{d}");
     }
-    (rows, aggregate)
+    *violations += diffs.len();
+    println!(
+        "fingerprints\t{} checked, {} mismatched (tests/goldens/engine_fingerprints.json)",
+        fps.len(),
+        diffs.len()
+    );
+    (fps.len(), diffs)
 }
 
 /// One calibration comparison: run the engine, ask the model, record both.
@@ -501,21 +254,13 @@ fn main() {
     let mut violations = 0usize;
 
     let selftests = run_selftests(&mut violations);
-    let equivalence = run_equivalence(&mut violations);
-    let ok = equivalence.iter().filter(|r| r.ok).count();
-    println!(
-        "equiv\t{ok}/{} kernel fingerprints bit-identical",
-        equivalence.len()
-    );
-    let (throughput, aggregate_speedup) = run_throughput(&mut violations);
+    let (fingerprints, fingerprint_mismatches) = run_fingerprints(&mut violations);
     let (calibration, mape) = run_calibration(&mut violations);
 
     let report = FastpathReport {
         selftests,
-        equivalence,
-        throughput,
-        aggregate_speedup,
-        speedup_floor: SPEEDUP_FLOOR,
+        fingerprints,
+        fingerprint_mismatches,
         calibration,
         mape,
         mape_bound_pct: MAPE_BOUND_PCT,
@@ -535,5 +280,5 @@ fn main() {
         eprintln!("psim-fastpath: {violations} gate violation(s)");
         std::process::exit(1);
     }
-    println!("psim-fastpath: tiers equivalent, fast path fast, estimates calibrated");
+    println!("psim-fastpath: engine matches its fingerprints, estimates calibrated");
 }

@@ -45,35 +45,17 @@ pub enum ExecMode {
     PerBank,
 }
 
-/// Which channel-replay implementation the engine uses. Both produce
-/// bit-identical [`RunReport`]s (the `psim_fastpath` gate and the
-/// tick-vs-event tests enforce this); they differ only in host-side
-/// simulation speed.
+/// The engine's one replay path. The engine has a single implementation —
+/// parked-slot skip synthesis over a representative-bank all-bank channel
+/// (DESIGN.md §14) — so this type selects nothing. It remains because the
+/// benchmark harness (`perfbench/`) sets `PimDevice::tier` to
+/// `EngineTier::Event` and prints it; it can go once that harness stops
+/// naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EngineTier {
-    /// The original command-by-command replay: every offer steps the PU
-    /// interpreter inline and every channel command re-walks all banks.
+    /// The engine (the only one).
     #[default]
-    Tick,
-    /// Event-driven fast path: PU step streams are precomputed per bank in
-    /// cache-hot batches (their evolution is independent of command
-    /// timing — see DESIGN.md), and all-bank channels collapse to a single
-    /// representative bank.
     Event,
-}
-
-impl EngineTier {
-    /// Tier selection from the environment: `PSIM_ENGINE=event` picks the
-    /// fast path, anything else (or unset) the tick engine. This is how
-    /// the CI equivalence gate re-runs the golden suites under the event
-    /// tier without touching call sites.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("PSIM_ENGINE").as_deref() {
-            Ok("event") => EngineTier::Event,
-            _ => EngineTier::Tick,
-        }
-    }
 }
 
 /// Engine construction parameters.
@@ -113,8 +95,6 @@ pub struct EngineConfig {
     /// `trace_limit` idiom — overflow is counted in the registry's
     /// `events_dropped`, never silently truncated).
     pub event_limit: usize,
-    /// Channel-replay implementation (tick vs event-driven fast path).
-    pub tier: EngineTier,
 }
 
 impl Default for EngineConfig {
@@ -130,7 +110,6 @@ impl Default for EngineConfig {
             validate: false,
             attribute: false,
             event_limit: 4096,
-            tier: EngineTier::default(),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! worker threads, merging [`ChannelOutcome`]s in channel order so the
 //! result is bit-identical either way.
 
-use super::{EngineConfig, EngineTier, ExecMode, TraceEvent};
+use super::{EngineConfig, ExecMode, TraceEvent};
 use crate::error::CoreError;
 use crate::isa::Program;
 use crate::memory::{BankMemory, Binding};
@@ -31,6 +31,50 @@ pub(super) struct ChannelCtx<'a> {
     pub schedule: &'a [usize],
     /// Per-slot region bindings.
     pub bindings: &'a [Option<Binding>],
+}
+
+impl ChannelCtx<'_> {
+    /// Each slot's starting element cursor (its binding's offset).
+    fn initial_cursors(&self) -> Vec<usize> {
+        (0..self.program.len())
+            .map(|slot| {
+                self.bindings
+                    .get(slot)
+                    .copied()
+                    .flatten()
+                    .map_or(0, |b| b.offset)
+            })
+            .collect()
+    }
+
+    /// The access serving `slot` at element `cursor` of `mem`'s copy of
+    /// the slot's region: the row to open, the column command (RD or WR)
+    /// and the cursor advance once it has issued.
+    fn slot_access(
+        &self,
+        slot: usize,
+        cursor: usize,
+        mem: &BankMemory,
+    ) -> Result<(u32, CmdKind, usize), CoreError> {
+        let ins = &self.program[slot];
+        let binding = self.bindings[slot].expect("validated at load");
+        let (elem_bytes, natural) = slot_advance(ins);
+        let start_row = mem.region(binding.region).start_row();
+        let hbm = &self.cfg.hbm;
+        let (row, col) = decode_slot_addr(
+            start_row,
+            cursor,
+            elem_bytes,
+            hbm.row_bytes(),
+            hbm.col_bytes,
+        )?;
+        let cmd = if ins.writes_bank() {
+            CmdKind::Wr { col }
+        } else {
+            CmdKind::Rd { col }
+        };
+        Ok((row, cmd, binding.stride.unwrap_or(natural)))
+    }
 }
 
 /// Everything one channel's replay produces, merged by the engine in
@@ -104,10 +148,9 @@ impl Attr {
     /// Advance every cursor to `to` (all-bank lockstep spans): the bus
     /// gets `cat`; a PU that has already exited idles post-CEXIT instead.
     ///
-    /// Exit state comes from the driver's consumed-offer flags, not the
-    /// units themselves: the event tier's interpreter runs ahead of the
-    /// timing loop, so `pus[i].exited()` may already be true for a unit
-    /// that (on the command timeline) has offers still in flight.
+    /// Exit state comes from the driver's consumed-offer flags
+    /// ([`PuDriver`]), the one record of which offers the timing loop has
+    /// delivered.
     fn span_all(&mut self, to: u64, cat: Category, exited: &[bool]) {
         self.bus_span(to, cat);
         for (i, &ex) in exited.iter().enumerate() {
@@ -247,74 +290,43 @@ impl TraceBuf {
     }
 }
 
-/// The channel model behind a replay, selected by
-/// [`EngineConfig::tier`](super::EngineConfig): the tick tier's two-pass
-/// earliest+issue full channel, or the event tier's single-pass variants —
-/// the representative-bank [`AbChannel`] for all-bank lockstep, the full
-/// channel's fused `issue_earliest_fast` for per-bank scopes. All three
-/// pick identical cycles (cross-checked in `psim_dram::fastab`), so the
-/// command stream is tier-independent.
-enum Issuer {
-    Tick(Channel),
-    Fast(Channel),
-    FastAb(AbChannel),
+/// Everything a replay does with an issued command besides timing it:
+/// record it into the bounded trace and feed the independent protocol
+/// checker.
+struct Recorder {
+    trace: TraceBuf,
+    checker: Option<ProtocolChecker>,
+    ch: usize,
 }
 
-impl Issuer {
-    fn new(cfg: &EngineConfig) -> Self {
-        match (cfg.tier, cfg.mode) {
-            (EngineTier::Tick, _) => Issuer::Tick(Channel::new(&cfg.hbm)),
-            (EngineTier::Event, ExecMode::AllBank) => Issuer::FastAb(AbChannel::new(&cfg.hbm)),
-            (EngineTier::Event, ExecMode::PerBank) => Issuer::Fast(Channel::new(&cfg.hbm)),
+impl Recorder {
+    fn new(cfg: &EngineConfig, ch: usize) -> Self {
+        Recorder {
+            trace: TraceBuf::new(cfg),
+            checker: make_checker(cfg, ch),
+            ch,
         }
     }
 
-    fn issue_earliest(
+    /// Record one issue attempt; an illegal command aborts the run.
+    fn note(
         &mut self,
         scope: Scope,
         cmd: CmdKind,
-        from: u64,
-    ) -> Result<Issued, IssueError> {
-        match self {
-            Issuer::Tick(c) => c.issue_earliest(scope, cmd, from),
-            Issuer::Fast(c) => c.issue_earliest_fast(scope, cmd, from),
-            Issuer::FastAb(c) => {
-                debug_assert!(matches!(scope, Scope::AllBanks));
-                c.issue_earliest(cmd, from)
-            }
+        issued: Result<Issued, IssueError>,
+    ) -> Result<Issued, CoreError> {
+        let issued = issued.map_err(|e| CoreError::Execution(e.to_string()))?;
+        self.trace.record(TraceEvent {
+            channel: self.ch,
+            cycle: issued.issue_cycle,
+            scope,
+            cmd,
+        });
+        if let Some(c) = self.checker.as_mut() {
+            c.observe(issued.issue_cycle, scope, cmd);
         }
+        Ok(issued)
     }
-
-    fn stats(&self) -> &ChannelStats {
-        match self {
-            Issuer::Tick(c) | Issuer::Fast(c) => c.stats(),
-            Issuer::FastAb(c) => c.stats(),
-        }
-    }
-}
-
-/// Issue a command, optionally recording it and feeding it to the
-/// independent protocol checker.
-fn issue_traced(
-    channel: &mut Issuer,
-    trace: &mut TraceBuf,
-    checker: &mut Option<ProtocolChecker>,
-    ch: usize,
-    scope: Scope,
-    cmd: CmdKind,
-    from: u64,
-) -> Result<psim_dram::Issued, IssueError> {
-    let issued = channel.issue_earliest(scope, cmd, from)?;
-    trace.record(TraceEvent {
-        channel: ch,
-        cycle: issued.issue_cycle,
-        scope,
-        cmd,
-    });
-    if let Some(c) = checker.as_mut() {
-        c.observe(issued.issue_cycle, scope, cmd);
-    }
-    Ok(issued)
 }
 
 /// An independent checker for this channel when self-auditing is on. The
@@ -360,8 +372,8 @@ fn slot_advance(ins: &crate::isa::Instruction) -> (usize, usize) {
 }
 
 /// Resolve a slot's cursor to the DRAM row to open and the column within
-/// it. Shared by every replay path (tick/event × all-bank/per-bank) so the
-/// four formerly-duplicated decode sites cannot drift apart, and checked:
+/// it. Shared by both replay modes so the decode sites cannot drift apart,
+/// and checked:
 /// a cursor that has run past the `u32` row space aborts the run instead
 /// of silently truncating into a bogus row.
 fn decode_slot_addr(
@@ -393,47 +405,46 @@ fn decode_slot_addr(
 /// offer must go through the interpreter.
 const NOT_PARKED: usize = usize::MAX;
 
-/// Tier-agnostic PU stepping front-end.
+/// PU stepping front-end: parked-slot skip synthesis.
 ///
 /// Under partially synchronous execution every offer a bank sees is
 /// determined by the fixed cyclic command schedule alone — the timing loop
-/// decides *when* commands issue, never *which* PU steps next. The tick
-/// tier steps the interpreter on every offer. The event tier skips it
-/// whenever the outcome is already known without running it:
+/// decides *when* commands issue, never *which* PU steps next. So the
+/// driver skips the interpreter whenever the outcome is already known:
 ///
-/// * a live unit parked at memory slot `m` ([`ProcessingUnit::parked_memory_slot`])
+/// * a live unit parked at memory slot `m` ([`ProcessingUnit::pending_slot`])
 ///   offered any `slot != m` only bumps `predicated_off` and reports
 ///   `OutOfPhase` — synthesized here from the cached parked slot;
 /// * an exited unit only bumps `predicated_off` and reports `Exited`.
 ///
 /// Everything else (the schedule reaching the parked slot) steps the
-/// alloc-free interpreter ([`ProcessingUnit::on_command_fast`]) and
-/// refreshes the cache. Most offers in a partially synchronous stream are
-/// predications — the whole point of the execution model — so this removes
-/// the interpreter from the common case entirely.
+/// interpreter ([`ProcessingUnit::on_command`]) and refreshes the cache.
+/// Both synthesized reports are exactly what the interpreter would return,
+/// so skipping it changes no cycle, counter or value. Most offers in a
+/// partially synchronous stream are predications — the whole point of the
+/// execution model — so this removes the interpreter from the common case.
 ///
-/// `exited`/`live` track exit state *as consumed by the timing loop* —
-/// exactly what `pus[i].exited()` reads as on the tick path — so round
-/// bookkeeping, attribution and loop termination are tier-independent.
+/// `exited`/`live` track exit state *as consumed by the timing loop*, which
+/// drives round bookkeeping, attribution and loop termination.
 struct PuDriver<'a> {
     pus: &'a mut [ProcessingUnit],
     mems: &'a mut [BankMemory],
     exited: Vec<bool>,
     live: usize,
-    /// Event tier only: per-bank parked memory slot, [`NOT_PARKED`] when
-    /// the unit must be stepped through the interpreter.
-    parked: Option<Vec<usize>>,
+    /// Per-bank parked memory slot, [`NOT_PARKED`] when the unit must be
+    /// stepped through the interpreter.
+    parked: Vec<usize>,
 }
 
 impl<'a> PuDriver<'a> {
-    fn new(tier: EngineTier, pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
+    fn new(pus: &'a mut [ProcessingUnit], mems: &'a mut [BankMemory]) -> Self {
         let n = pus.len();
         PuDriver {
             pus,
             mems,
             exited: vec![false; n],
             live: n,
-            parked: matches!(tier, EngineTier::Event).then(|| vec![NOT_PARKED; n]),
+            parked: vec![NOT_PARKED; n],
         }
     }
 
@@ -445,8 +456,8 @@ impl<'a> PuDriver<'a> {
             if self.pus[b].exited() {
                 self.exited[b] = true;
                 self.live -= 1;
-            } else if let Some(parked) = &mut self.parked {
-                parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
+            } else {
+                self.parked[b] = self.pus[b].pending_slot().unwrap_or(NOT_PARKED);
             }
         }
     }
@@ -456,42 +467,27 @@ impl<'a> PuDriver<'a> {
     /// stays with the caller (the two exec modes time-stamp it
     /// differently).
     fn step(&mut self, b: usize, slot: usize) -> StepReport {
-        let Some(parked) = &mut self.parked else {
-            let rep = self.pus[b].on_command(slot, &mut self.mems[b]);
-            if !self.exited[b] && self.pus[b].exited() {
-                self.exited[b] = true;
-                self.live -= 1;
-            }
-            return rep;
-        };
-        if self.exited[b] {
-            // Post-exit offers on the tick path still run the interpreter
-            // far enough to count a predication; reproduce the count.
+        let m = self.parked[b];
+        if self.exited[b] || (m != NOT_PARKED && m != slot) {
+            // An exited unit, or a parked unit offered a foreign slot: a
+            // pure predication the interpreter would only count.
             self.pus[b].note_predicated_off(1);
             return StepReport {
                 executed: false,
                 pu_cycles: 0,
-                outcome: StepOutcome::Exited,
+                outcome: if self.exited[b] {
+                    StepOutcome::Exited
+                } else {
+                    StepOutcome::OutOfPhase
+                },
             };
         }
-        let m = parked[b];
-        if m != NOT_PARKED && m != slot {
-            // Parked unit, foreign slot: a pure predication (see
-            // `parked_memory_slot`); the interpreter would change nothing
-            // but this counter.
-            self.pus[b].note_predicated_off(1);
-            return StepReport {
-                executed: false,
-                pu_cycles: 0,
-                outcome: StepOutcome::OutOfPhase,
-            };
-        }
-        let rep = self.pus[b].on_command_fast(slot, &mut self.mems[b]);
+        let rep = self.pus[b].on_command(slot, &mut self.mems[b]);
         if self.pus[b].exited() {
             self.exited[b] = true;
             self.live -= 1;
         } else {
-            parked[b] = self.pus[b].parked_memory_slot().unwrap_or(NOT_PARKED);
+            self.parked[b] = self.pus[b].pending_slot().unwrap_or(NOT_PARKED);
         }
         rep
     }
@@ -521,13 +517,12 @@ fn run_channel_allbank(
 ) -> Result<ChannelOutcome, CoreError> {
     let cfg = ctx.cfg;
     let program = ctx.program;
-    let mut channel = Issuer::new(cfg);
-    let mut trace = TraceBuf::new(cfg);
-    let mut checker = make_checker(cfg, ch);
-    let row_bytes = cfg.hbm.row_bytes();
-    let col_bytes = cfg.hbm.col_bytes;
+    let mut channel = AbChannel::new(&cfg.hbm);
+    let mut rec = Recorder::new(cfg, ch);
+    let mut issue =
+        |cmd: CmdKind, from: u64| rec.note(Scope::AllBanks, cmd, channel.issue_earliest(cmd, from));
     let nbanks = pus.len();
-    let mut driver = PuDriver::new(cfg.tier, pus, mems);
+    let mut driver = PuDriver::new(pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -537,17 +532,7 @@ fn run_channel_allbank(
     // Mode switching (SB→AB→AB-PIM) + CRF programming as MRS commands.
     let setup_cmds = 2 * psim_dram::mode::SWITCH_SEQUENCE_LEN + program.len();
     for _ in 0..setup_cmds {
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            CmdKind::Mrs,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = issue(CmdKind::Mrs, now)?.issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
         a.span_all(now, Category::Setup, &driver.exited);
@@ -557,15 +542,7 @@ fn run_channel_allbank(
 
     let t_refi = cfg.hbm.timing.t_refi;
     let mut next_refresh = now + t_refi;
-    let mut cursors: Vec<usize> = (0..program.len())
-        .map(|slot| {
-            ctx.bindings
-                .get(slot)
-                .copied()
-                .flatten()
-                .map_or(0, |b| b.offset)
-        })
-        .collect();
+    let mut cursors = ctx.initial_cursors();
     let mut open_row: Option<u32> = None;
     let mut rounds = 0u64;
     // Read-latency depth the command pipeline hides: PU consumption of
@@ -587,91 +564,31 @@ fn run_channel_allbank(
         for &slot in ctx.schedule {
             if cfg.refresh && now >= next_refresh {
                 if open_row.is_some() {
-                    now = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        Scope::AllBanks,
-                        CmdKind::Pre,
-                        now,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    now = issue(CmdKind::Pre, now)?.issue_cycle;
                     open_row = None;
                 }
-                now = issue_traced(
-                    &mut channel,
-                    &mut trace,
-                    &mut checker,
-                    ch,
-                    Scope::AllBanks,
-                    CmdKind::Ref,
-                    now,
-                )
-                .map_err(|e| CoreError::Execution(e.to_string()))?
-                .issue_cycle;
+                now = issue(CmdKind::Ref, now)?.issue_cycle;
                 next_refresh = now + t_refi;
                 if let Some(a) = attr.as_mut() {
                     a.span_all(now, Category::RefreshShadow, &driver.exited);
                 }
             }
-            let ins = &program[slot];
-            let binding = ctx.bindings[slot].expect("validated at load");
-            let region_id = binding.region;
-            let (elem_bytes, natural) = slot_advance(ins);
-            let advance = binding.stride.unwrap_or(natural);
             // Engine-side open-row bookkeeping uses the first bank's
             // layout; all banks allocate regions identically (equal
             // rows/bank).
-            let start_row = driver.mems[0].region(region_id).start_row();
-            let (want_row, col) =
-                decode_slot_addr(start_row, cursors[slot], elem_bytes, row_bytes, col_bytes)?;
+            let (want_row, kind, advance) =
+                ctx.slot_access(slot, cursors[slot], &driver.mems[0])?;
             if open_row != Some(want_row) {
                 if open_row.is_some() {
-                    now = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        Scope::AllBanks,
-                        CmdKind::Pre,
-                        now,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    now = issue(CmdKind::Pre, now)?.issue_cycle;
                 }
-                now = issue_traced(
-                    &mut channel,
-                    &mut trace,
-                    &mut checker,
-                    ch,
-                    Scope::AllBanks,
-                    CmdKind::Act { row: want_row },
-                    now,
-                )
-                .map_err(|e| CoreError::Execution(e.to_string()))?
-                .issue_cycle;
+                now = issue(CmdKind::Act { row: want_row }, now)?.issue_cycle;
                 open_row = Some(want_row);
                 if let Some(a) = attr.as_mut() {
                     a.span_all(now, Category::RowSwitchWait, &driver.exited);
                 }
             }
-            let kind = if ins.writes_bank() {
-                CmdKind::Wr { col }
-            } else {
-                CmdKind::Rd { col }
-            };
-            let issued = issue_traced(
-                &mut channel,
-                &mut trace,
-                &mut checker,
-                ch,
-                Scope::AllBanks,
-                kind,
-                now,
-            )
-            .map_err(|e| CoreError::Execution(e.to_string()))?;
+            let issued = issue(kind, now)?;
             now = issued.issue_cycle;
 
             let mut max_busy = 0u64;
@@ -711,17 +628,7 @@ fn run_channel_allbank(
         } else {
             CmdKind::Mrs
         };
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            poll,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = issue(poll, now)?.issue_cycle;
         if let Some(a) = attr.as_mut() {
             a.span_all(now, Category::HostSync, &driver.exited);
         }
@@ -734,31 +641,11 @@ fn run_channel_allbank(
         }
     }
     if open_row.is_some() {
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            CmdKind::Pre,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = issue(CmdKind::Pre, now)?.issue_cycle;
     }
     // Switch back to SB mode.
     for _ in 0..2 * psim_dram::mode::SWITCH_SEQUENCE_LEN {
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            Scope::AllBanks,
-            CmdKind::Mrs,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = issue(CmdKind::Mrs, now)?.issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
         // Teardown precharge + SB switch: bus does setup work, every PU
@@ -770,9 +657,9 @@ fn run_channel_allbank(
         cycles: now,
         stats: *channel.stats(),
         rounds,
-        trace: trace.events,
-        trace_dropped: trace.dropped,
-        check: checker.map(|c| c.finish(now)),
+        trace: rec.trace.events,
+        trace_dropped: rec.trace.dropped,
+        check: rec.checker.map(|c| c.finish(now)),
         metrics,
         stall_events,
         stall_events_dropped,
@@ -798,14 +685,14 @@ fn run_channel_perbank(
     let cfg = ctx.cfg;
     let program = ctx.program;
     let schedule = ctx.schedule;
-    let mut channel = Issuer::new(cfg);
-    let mut trace = TraceBuf::new(cfg);
-    let mut checker = make_checker(cfg, ch);
-    let row_bytes = cfg.hbm.row_bytes();
-    let col_bytes = cfg.hbm.col_bytes;
+    let mut channel = Channel::new(&cfg.hbm);
+    let mut rec = Recorder::new(cfg, ch);
+    let mut issue = |scope: Scope, cmd: CmdKind, from: u64| {
+        rec.note(scope, cmd, channel.issue_earliest(scope, cmd, from))
+    };
     let nbanks = pus.len();
     let banks_per_group = cfg.hbm.banks_per_group;
-    let mut driver = PuDriver::new(cfg.tier, pus, mems);
+    let mut driver = PuDriver::new(pus, mems);
     let mut attr = cfg
         .attribute
         .then(|| Attr::new(ch, nbanks, cfg.event_limit));
@@ -819,31 +706,13 @@ fn run_channel_perbank(
             bg: b / banks_per_group,
             ba: b % banks_per_group,
         };
-        now = issue_traced(
-            &mut channel,
-            &mut trace,
-            &mut checker,
-            ch,
-            scope,
-            CmdKind::Mrs,
-            now,
-        )
-        .map_err(|e| CoreError::Execution(e.to_string()))?
-        .issue_cycle;
+        now = issue(scope, CmdKind::Mrs, now)?.issue_cycle;
     }
     if let Some(a) = attr.as_mut() {
         a.span_all(now, Category::Setup, &driver.exited);
     }
 
-    let init_cursors: Vec<usize> = (0..program.len())
-        .map(|slot| {
-            ctx.bindings
-                .get(slot)
-                .copied()
-                .flatten()
-                .map_or(0, |b| b.offset)
-        })
-        .collect();
+    let init_cursors = ctx.initial_cursors();
     let pipeline = cfg.hbm.timing.rl + 1;
     let mut ctls: Vec<BankCtl> = (0..nbanks)
         .map(|_| BankCtl {
@@ -873,33 +742,13 @@ fn run_channel_perbank(
                         ba: i % banks_per_group,
                     };
                     let from = ctl.ready.max(floor);
-                    let p = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        scope,
-                        CmdKind::Pre,
-                        from,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    let p = issue(scope, CmdKind::Pre, from)?.issue_cycle;
                     floor = floor.max(p);
                     ctl.open_row = None;
                     ctl.ready = ctl.ready.max(p);
                 }
             }
-            let r = issue_traced(
-                &mut channel,
-                &mut trace,
-                &mut checker,
-                ch,
-                Scope::AllBanks,
-                CmdKind::Ref,
-                floor,
-            )
-            .map_err(|e| CoreError::Execution(e.to_string()))?
-            .issue_cycle;
+            let r = issue(Scope::AllBanks, CmdKind::Ref, floor)?.issue_cycle;
             for ctl in &mut ctls {
                 ctl.ready = ctl.ready.max(r);
             }
@@ -930,19 +779,8 @@ fn run_channel_perbank(
                 )));
             }
             let slot = schedule[ctl.sched_idx];
-            let ins = &program[slot];
-            let binding = ctx.bindings[slot].expect("validated at load");
-            let region_id = binding.region;
-            let (elem_bytes, natural) = slot_advance(ins);
-            let advance = binding.stride.unwrap_or(natural);
-            let start_row = driver.mems[i].region(region_id).start_row();
-            let (want_row, col) = decode_slot_addr(
-                start_row,
-                ctl.cursors[slot],
-                elem_bytes,
-                row_bytes,
-                col_bytes,
-            )?;
+            let (want_row, kind, advance) =
+                ctx.slot_access(slot, ctl.cursors[slot], &driver.mems[i])?;
             let scope = Scope::OneBank {
                 bg: i / banks_per_group,
                 ba: i % banks_per_group,
@@ -955,39 +793,13 @@ fn run_channel_perbank(
             let mut switched_at: Option<u64> = None;
             if ctl.open_row != Some(want_row) {
                 if ctl.open_row.is_some() {
-                    t = issue_traced(
-                        &mut channel,
-                        &mut trace,
-                        &mut checker,
-                        ch,
-                        scope,
-                        CmdKind::Pre,
-                        t,
-                    )
-                    .map_err(|e| CoreError::Execution(e.to_string()))?
-                    .issue_cycle;
+                    t = issue(scope, CmdKind::Pre, t)?.issue_cycle;
                 }
-                t = issue_traced(
-                    &mut channel,
-                    &mut trace,
-                    &mut checker,
-                    ch,
-                    scope,
-                    CmdKind::Act { row: want_row },
-                    t,
-                )
-                .map_err(|e| CoreError::Execution(e.to_string()))?
-                .issue_cycle;
+                t = issue(scope, CmdKind::Act { row: want_row }, t)?.issue_cycle;
                 ctl.open_row = Some(want_row);
                 switched_at = Some(t);
             }
-            let kind = if ins.writes_bank() {
-                CmdKind::Wr { col }
-            } else {
-                CmdKind::Rd { col }
-            };
-            let issued = issue_traced(&mut channel, &mut trace, &mut checker, ch, scope, kind, t)
-                .map_err(|e| CoreError::Execution(e.to_string()))?;
+            let issued = issue(scope, kind, t)?;
             floor = floor.max(issued.issue_cycle);
 
             let rep = driver.step(i, slot);
@@ -1043,9 +855,9 @@ fn run_channel_perbank(
         cycles: end,
         stats: *channel.stats(),
         rounds: max_rounds,
-        trace: trace.events,
-        trace_dropped: trace.dropped,
-        check: checker.map(|c| c.finish(end)),
+        trace: rec.trace.events,
+        trace_dropped: rec.trace.dropped,
+        check: rec.checker.map(|c| c.finish(end)),
         metrics,
         stall_events,
         stall_events_dropped,

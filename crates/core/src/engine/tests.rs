@@ -626,17 +626,48 @@ fn pu_audit_flags_inconsistent_claims() {
 }
 
 #[test]
-fn event_tier_is_bit_identical_to_tick() {
-    // Full-report equality (cycles, commands, energy, trace, attribution,
-    // checker findings) plus final memory equality, across both exec
-    // modes and both serial and parallel execution, with every auditing
-    // feature enabled so nothing is compared away.
-    let run = |mode: ExecMode, tier: EngineTier, workers: usize| {
+fn replay_matches_pinned_reference() {
+    // The full report (PU stats included), every unit's final state and
+    // every bank's memory, digested and pinned per mode. The values were
+    // recorded from the original command-by-command engine, whose
+    // interpreter stepped every offer; parked-slot synthesis must leave
+    // every counter exactly as that engine did.
+    for (mode, pinned) in [
+        (ExecMode::AllBank, 0xc280_8d8c_a714_628f_u64),
+        (ExecMode::PerBank, 0xc1c7_bd10_8be1_51d9),
+    ] {
         let mut cfg = small_cfg(mode);
         cfg.record_trace = true;
         cfg.attribute = true;
         cfg.validate = true;
-        cfg.tier = tier;
+        let mut engine = Engine::new(cfg);
+        let n = 16;
+        let per_bank = per_bank_entries(engine.num_banks(), n);
+        let x: Vec<f64> = (0..n).map(|i| 0.25 + i as f64).collect();
+        let bindings = setup_spmv(&mut engine, &per_bank, &x, n);
+        engine
+            .load_kernel(assemble(SPMV_ASM).unwrap(), bindings)
+            .unwrap();
+        let report = engine.run().unwrap();
+        let banks = 0..engine.num_banks();
+        let pus: Vec<_> = banks.clone().map(|b| engine.pu(b).clone()).collect();
+        let mems: Vec<_> = banks.map(|b| engine.mem(b).clone()).collect();
+        let digest = crate::debug_digest(&format_args!("{report:?}{pus:?}{mems:?}"));
+        assert_eq!(digest, pinned, "{mode:?}");
+    }
+}
+
+#[test]
+fn parallel_replay_is_bit_identical_to_serial() {
+    // Full-report equality (cycles, commands, energy, trace, attribution,
+    // checker findings) plus final memory equality, across both exec
+    // modes, with every auditing feature enabled so nothing is compared
+    // away.
+    let run = |mode: ExecMode, workers: usize| {
+        let mut cfg = small_cfg(mode);
+        cfg.record_trace = true;
+        cfg.attribute = true;
+        cfg.validate = true;
         let mut engine = Engine::new(cfg);
         let n = 16;
         let per_bank = per_bank_entries(engine.num_banks(), n);
@@ -656,20 +687,10 @@ fn event_tier_is_bit_identical_to_tick() {
         (report, ys)
     };
     for mode in [ExecMode::AllBank, ExecMode::PerBank] {
-        let (tick, ys_tick) = run(mode, EngineTier::Tick, 1);
-        assert_eq!(tick.violation_count(), 0, "{mode:?} tick must be clean");
-        for workers in [1usize, 3] {
-            let (event, ys_event) = run(mode, EngineTier::Event, workers);
-            assert_eq!(tick, event, "{mode:?}, {workers} workers");
-            assert_eq!(ys_tick, ys_event, "{mode:?}, {workers} workers");
-        }
+        let (serial, ys_serial) = run(mode, 1);
+        assert_eq!(serial.violation_count(), 0, "{mode:?} must be clean");
+        let (parallel, ys_parallel) = run(mode, 3);
+        assert_eq!(serial, parallel, "{mode:?}");
+        assert_eq!(ys_serial, ys_parallel, "{mode:?}");
     }
-}
-
-#[test]
-fn engine_tier_from_env_defaults_to_tick() {
-    // Guard the default: an unset/garbage PSIM_ENGINE must leave the
-    // reference tier in charge (the fast path is opt-in).
-    assert_eq!(EngineTier::default(), EngineTier::Tick);
-    assert_eq!(EngineConfig::default().tier, EngineTier::Tick);
 }

@@ -50,3 +50,14 @@ pub use memory::{BankMemory, Region, RegionId};
 pub use pu::{ProcessingUnit, StepOutcome};
 pub use stats::{Histogram, PuStats};
 pub use trace::{Category, ChannelMetrics, CycleBreakdown, MetricsRegistry, StallEvent};
+
+/// 64-bit FNV-1a over a value's `Debug` text: the digest the
+/// pinned-reference tests compare against recorded values.
+#[cfg(test)]
+pub(crate) fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
+    format!("{v:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}

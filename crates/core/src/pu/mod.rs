@@ -14,7 +14,6 @@
 //! of §IV-E. A unit that has taken `CEXIT` ignores all further commands
 //! while the host keeps driving the remaining units (§IV-D).
 
-mod fast;
 mod queue;
 
 pub use queue::SpQueue;
@@ -28,6 +27,20 @@ use serde::{Deserialize, Serialize};
 
 /// DRAM command-clock cycles per PU cycle (1 GHz DRAM / 250 MHz PU).
 pub const DRAM_CYCLES_PER_PU_CYCLE: u64 = 4;
+
+/// Stack-buffer width in elements: the widest lane count (INT8's 32).
+/// Every DRF write is at most one precision's `lanes()` long and every
+/// queue window is capped at `lanes()`, so the interpreter's per-step
+/// scratch lives on the stack and never allocates.
+const BUF: usize = Precision::Int8.lanes();
+
+/// The DRF index an operand names; non-DRF operands alias register 0.
+fn drf_idx(op: Operand) -> usize {
+    match op {
+        Operand::Drf(i) => i as usize,
+        _ => 0,
+    }
+}
 
 /// How a unit disposed of one column command — the discriminator the
 /// attribution layer (psim-trace) classifies stall cycles with.
@@ -205,33 +218,19 @@ impl ProcessingUnit {
                         outcome: StepOutcome::OutOfPhase,
                     };
                 }
-                return match self.exec_memory(&ins, slot, mem) {
-                    outcome @ (ExecOutcome::Done(_) | ExecOutcome::DoneEmpty(_)) => {
-                        let (c, step) = match outcome {
-                            ExecOutcome::Done(c) => (c, StepOutcome::Executed),
-                            ExecOutcome::DoneEmpty(c) => (c, StepOutcome::ExecutedEmpty),
-                            ExecOutcome::Stall => unreachable!("matched above"),
-                        };
-                        self.pc += 1;
-                        self.stats.instructions += 1;
-                        self.stats.mem_ops += 1;
-                        let total = cycles + c;
-                        self.stats.busy_cycles += total;
-                        StepReport {
-                            executed: true,
-                            pu_cycles: total,
-                            outcome: step,
-                        }
-                    }
-                    ExecOutcome::Stall => {
-                        self.stats.predicated_off += 1;
-                        self.stats.busy_cycles += cycles;
-                        StepReport {
-                            executed: false,
-                            pu_cycles: cycles,
-                            outcome: StepOutcome::QueueFull,
-                        }
-                    }
+                let (c, outcome) = match self.exec_memory(&ins, slot, mem) {
+                    ExecOutcome::Done(c) => (c, StepOutcome::Executed),
+                    ExecOutcome::DoneEmpty(c) => (c, StepOutcome::ExecutedEmpty),
+                    ExecOutcome::Stall => return self.stalled(cycles),
+                };
+                self.pc += 1;
+                self.stats.instructions += 1;
+                self.stats.mem_ops += 1;
+                self.stats.busy_cycles += cycles + c;
+                return StepReport {
+                    executed: true,
+                    pu_cycles: cycles + c,
+                    outcome,
                 };
             }
             // Control / compute — free of commands.
@@ -243,15 +242,7 @@ impl ProcessingUnit {
                         break;
                     }
                 }
-                ExecOutcome::Stall => {
-                    self.stats.predicated_off += 1;
-                    self.stats.busy_cycles += cycles;
-                    return StepReport {
-                        executed: false,
-                        pu_cycles: cycles,
-                        outcome: StepOutcome::QueueFull,
-                    };
-                }
+                ExecOutcome::Stall => return self.stalled(cycles),
             }
         }
         self.stats.busy_cycles += cycles;
@@ -263,6 +254,18 @@ impl ProcessingUnit {
             } else {
                 StepOutcome::OutOfPhase
             },
+        }
+    }
+
+    /// A predicate failed (destination queue full) after `cycles` of free
+    /// work: the command passes over the unit.
+    fn stalled(&mut self, cycles: u64) -> StepReport {
+        self.stats.predicated_off += 1;
+        self.stats.busy_cycles += cycles;
+        StepReport {
+            executed: false,
+            pu_cycles: cycles,
+            outcome: StepOutcome::QueueFull,
         }
     }
 
@@ -295,13 +298,31 @@ impl ProcessingUnit {
         cycles
     }
 
-    /// The slot of the memory instruction the unit is currently waiting at,
-    /// if any (diagnostic).
+    /// The slot of the memory instruction the unit is parked at, if any.
+    /// An exited unit is not waiting at a slot.
+    ///
+    /// After [`ProcessingUnit::run_free`] or any `on_command` return, a
+    /// live unit's `pc` always rests on a memory instruction (free
+    /// instructions run to quiescence inside those calls). Offering any
+    /// *other* slot to a parked unit is a pure predication: `on_command`
+    /// bumps `predicated_off` and reports `OutOfPhase` without touching
+    /// any other state, which is what lets the engine synthesize that
+    /// report instead of stepping the interpreter.
     #[must_use]
     pub fn pending_slot(&self) -> Option<usize> {
+        if self.exited {
+            return None;
+        }
         let prog = self.program.as_ref()?;
         let ins = prog.get(self.pc)?;
         ins.is_memory().then_some(self.pc)
+    }
+
+    /// Account `n` offers the engine synthesized instead of stepping the
+    /// interpreter (a parked unit's foreign slots, an exited unit's
+    /// offers): each would only have bumped `predicated_off`.
+    pub(crate) fn note_predicated_off(&mut self, n: u64) {
+        self.stats.predicated_off += n;
     }
 
     // ---- internals -----------------------------------------------------
@@ -354,14 +375,15 @@ impl ProcessingUnit {
                 op,
                 precision,
             } => {
-                let k = self.drf_of(src).len();
+                let (d, s) = (drf_idx(dst), drf_idx(src));
                 let srf = self.srf;
-                let out: Vec<f64> = self
-                    .drf_of(src)
-                    .iter()
-                    .map(|&v| precision.quantize(op.apply(v, srf)))
-                    .collect();
-                *self.drf_of_mut(dst) = out;
+                let k = self.drf[s].len();
+                if d != s {
+                    self.drf[d].resize(k, 0.0);
+                }
+                for i in 0..k {
+                    self.drf[d][i] = precision.quantize(op.apply(self.drf[s][i], srf));
+                }
                 self.stats.lane_ops += k as u64;
                 self.pc += 1;
                 ExecOutcome::Done(1)
@@ -373,12 +395,10 @@ impl ProcessingUnit {
                 precision,
             } => self.exec_sspv(dst, src, op, precision),
             Instruction::Reduce { src, op, precision } => {
-                let folded = self
-                    .drf_of(src)
-                    .iter()
-                    .fold(op.identity(), |acc, &v| op.apply(acc, v));
+                let src = &self.drf[drf_idx(src)];
+                let folded = src.iter().fold(op.identity(), |acc, &v| op.apply(acc, v));
                 self.srf = precision.quantize(op.apply(self.srf, folded));
-                self.stats.lane_ops += self.drf_of(src).len() as u64;
+                self.stats.lane_ops += src.len() as u64;
                 self.pc += 1;
                 ExecOutcome::Done(1)
             }
@@ -389,18 +409,16 @@ impl ProcessingUnit {
                 op,
                 precision,
             } => {
-                let a = self.drf_of(src0).clone();
-                let b = self.drf_of(src1).clone();
+                let (a, b) = (&self.drf[drf_idx(src0)], &self.drf[drf_idx(src1)]);
                 let k = a.len().max(b.len());
-                let out: Vec<f64> = (0..k)
-                    .map(|i| {
-                        precision.quantize(op.apply(
-                            a.get(i).copied().unwrap_or(0.0),
-                            b.get(i).copied().unwrap_or(0.0),
-                        ))
-                    })
-                    .collect();
-                *self.drf_of_mut(dst) = out;
+                let mut out = [0.0f64; BUF];
+                for (i, o) in out[..k].iter_mut().enumerate() {
+                    let (x, y) = (a.get(i).copied(), b.get(i).copied());
+                    *o = precision.quantize(op.apply(x.unwrap_or(0.0), y.unwrap_or(0.0)));
+                }
+                let dv = &mut self.drf[drf_idx(dst)];
+                dv.clear();
+                dv.extend_from_slice(&out[..k]);
                 self.stats.lane_ops += k as u64;
                 self.pc += 1;
                 ExecOutcome::Done(1)
@@ -430,12 +448,14 @@ impl ProcessingUnit {
     fn exec_dmov_regs(&mut self, dst: Operand, src: Operand, precision: Precision) -> ExecOutcome {
         let lanes = precision.lanes();
         match (dst, src) {
-            (Operand::Drf(d), Operand::Drf(s)) => {
-                let v = self.drf[s as usize].clone();
-                self.drf[d as usize] = v;
+            (Operand::Drf(d), Operand::Drf(s)) if d != s => {
+                let [d, s] = self.drf.get_disjoint_mut([d as usize, s as usize]).unwrap();
+                d.clone_from(s);
             }
             (Operand::Drf(d), Operand::Srf) => {
-                self.drf[d as usize] = vec![self.srf; lanes];
+                let dv = &mut self.drf[d as usize];
+                dv.clear();
+                dv.resize(lanes, self.srf);
             }
             (Operand::Srf, Operand::Drf(s)) => {
                 self.srf = self.drf[s as usize].first().copied().unwrap_or(0.0);
@@ -498,17 +518,21 @@ impl ProcessingUnit {
         if k > 0 && !self.queues[d as usize].can_push(k, elem_bytes) {
             return ExecOutcome::Stall;
         }
-        let dense: Vec<f64> = match src1 {
-            Operand::Drf(i) => self.drf[i as usize].clone(),
-            Operand::Srf => vec![self.srf; lanes],
-            _ => vec![0.0; lanes],
-        };
-        for i in 0..k {
+        // The dense operand; lanes past a short register read as 0.0.
+        let mut dense = [0.0f64; BUF];
+        match src1 {
+            Operand::Drf(i) => {
+                let dv = &self.drf[i as usize];
+                dense[..dv.len()].copy_from_slice(dv);
+            }
+            Operand::Srf => dense[..lanes].fill(self.srf),
+            _ => {}
+        }
+        for &b in &dense[..k] {
             let (r, c, v) = self.queues[s as usize].pop().expect("len checked");
             if r == SENTINEL || c == SENTINEL {
                 continue; // index calculator skips padding
             }
-            let b = dense.get(i).copied().unwrap_or(0.0);
             let nv = precision.quantize(op.apply(v, b));
             self.queues[d as usize].push(r, c, nv);
         }
@@ -539,14 +563,22 @@ impl ProcessingUnit {
         if (ka + kb > 0) && !self.queues[d as usize].can_push(ka + kb, elem_bytes) {
             return ExecOutcome::Stall;
         }
-        let mut wa: Vec<(f64, f64, f64)> = (0..ka)
-            .map(|_| self.queues[a as usize].pop().expect("len checked"))
-            .collect();
-        let mut wb: Vec<(f64, f64, f64)> = (0..kb)
-            .map(|_| self.queues[b as usize].pop().expect("len checked"))
-            .collect();
-        wa.retain(|&(r, c, _)| r != SENTINEL && c != SENTINEL);
-        wb.retain(|&(r, c, _)| r != SENTINEL && c != SENTINEL);
+        // Pop each window, dropping sentinel padding.
+        let mut window = |q: u8, k: usize| {
+            let mut w = [(0.0f64, 0.0f64, 0.0f64); BUF];
+            let mut n = 0usize;
+            for _ in 0..k {
+                let (r, c, v) = self.queues[q as usize].pop().expect("len checked");
+                if r != SENTINEL && c != SENTINEL {
+                    w[n] = (r, c, v);
+                    n += 1;
+                }
+            }
+            (w, n)
+        };
+        let (wa, na) = window(a, ka);
+        let (wb, nb) = window(b, kb);
+        let (wa, wb) = (&wa[..na], &wb[..nb]);
         let (mut i, mut j) = (0usize, 0usize);
         let push = |q: &mut SpQueue, r: f64, c: f64, v: f64| {
             q.push(r, c, precision.quantize(v));
@@ -621,7 +653,9 @@ impl ProcessingUnit {
                 match (dst, src) {
                     (Operand::Drf(d), Operand::Bank) => {
                         let r = mem.region(region);
-                        self.drf[d as usize] = (0..lanes).map(|i| r.get(cur + i)).collect();
+                        let dv = &mut self.drf[d as usize];
+                        dv.clear();
+                        dv.extend((0..lanes).map(|i| r.get(cur + i)));
                         self.cursors[slot] += binding.stride.unwrap_or(lanes);
                     }
                     (Operand::Srf, Operand::Bank) => {
@@ -629,9 +663,8 @@ impl ProcessingUnit {
                         self.cursors[slot] += binding.stride.unwrap_or(1);
                     }
                     (Operand::Bank, Operand::Drf(d)) => {
-                        let vals = self.drf[d as usize].clone();
                         let r = mem.region_mut(region);
-                        for (i, v) in vals.iter().enumerate().take(lanes) {
+                        for (i, v) in self.drf[d as usize].iter().enumerate().take(lanes) {
                             r.set(cur + i, precision.quantize(*v));
                         }
                         self.cursors[slot] += binding.stride.unwrap_or(lanes);
@@ -656,26 +689,27 @@ impl ProcessingUnit {
                 idx_queue,
                 precision,
             } => {
-                let lanes = precision.lanes();
-                let q = &self.queues[idx_queue as usize];
-                let cols = q.peek_cols(lanes);
+                let mut cols = [0.0f64; BUF];
+                let k =
+                    self.queues[idx_queue as usize].peek_cols_into(precision.lanes(), &mut cols);
                 let r = mem.region(region);
-                let gathered: Vec<f64> = cols
-                    .iter()
-                    .map(|&c| {
-                        if c == SENTINEL {
-                            0.0
-                        } else {
-                            r.get(c as usize)
-                        }
-                    })
-                    .collect();
-                let k = gathered.len() as u64;
+                let gather = |c: f64| {
+                    if c == SENTINEL {
+                        0.0
+                    } else {
+                        r.get(c as usize)
+                    }
+                };
                 match dst {
-                    Operand::Drf(d) => self.drf[d as usize] = gathered,
-                    Operand::Srf => self.srf = gathered.first().copied().unwrap_or(0.0),
+                    Operand::Drf(d) => {
+                        let dv = &mut self.drf[d as usize];
+                        dv.clear();
+                        dv.extend(cols[..k].iter().map(|&c| gather(c)));
+                    }
+                    Operand::Srf => self.srf = if k == 0 { 0.0 } else { gather(cols[0]) },
                     _ => {}
                 }
+                let k = k as u64;
                 self.stats.lane_ops += k;
                 if k == 0 {
                     ExecOutcome::DoneEmpty(1)
@@ -753,13 +787,13 @@ impl ProcessingUnit {
                     return ExecOutcome::Stall;
                 }
                 let cur = self.cursors[slot];
-                let dense: Vec<f64> = {
-                    let r = mem.region(region);
-                    (0..k).map(|i| r.get(cur + i)).collect()
-                };
+                let mut dense = [0.0f64; BUF];
+                let r = mem.region(region);
+                for (i, dv) in dense[..k].iter_mut().enumerate() {
+                    *dv = r.get(cur + i);
+                }
                 self.cursors[slot] += binding.stride.unwrap_or(lanes);
-                for (i, b) in dense.into_iter().enumerate() {
-                    let _ = i;
+                for &b in &dense[..k] {
                     let (r, c, v) = self.queues[s as usize].pop().expect("len checked");
                     if r == SENTINEL || c == SENTINEL {
                         continue;
@@ -901,20 +935,6 @@ impl ProcessingUnit {
                 }
             }
             _ => ExecOutcome::Done(1),
-        }
-    }
-
-    fn drf_of(&self, op: Operand) -> &Vec<f64> {
-        match op {
-            Operand::Drf(i) => &self.drf[i as usize],
-            _ => &self.drf[0],
-        }
-    }
-
-    fn drf_of_mut(&mut self, op: Operand) -> &mut Vec<f64> {
-        match op {
-            Operand::Drf(i) => &mut self.drf[i as usize],
-            _ => &mut self.drf[0],
         }
     }
 }

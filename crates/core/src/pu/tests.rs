@@ -178,11 +178,14 @@ fn exited_pu_ignores_commands() {
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, bindings).unwrap();
     drive_to_completion(&mut pu, &mut mem, &schedule);
+    // An exited unit is not waiting at any slot.
+    assert_eq!(pu.pending_slot(), None);
     let off_before = pu.stats().predicated_off;
     let rep = pu.on_command(0, &mut mem);
     assert!(!rep.executed);
     assert_eq!(rep.pu_cycles, 0);
     assert_eq!(pu.stats().predicated_off, off_before + 1);
+    assert_eq!(pu.pending_slot(), None);
 }
 
 #[test]
@@ -190,12 +193,16 @@ fn out_of_phase_command_passes_over() {
     let entries = [(0u32, 0u32, 1.0); 1];
     let (mut mem, bindings) = setup_bank(&entries, &[1.0; 4], 4);
     let program = assemble(SPMV_ASM).unwrap();
+    let schedule = program.command_schedule().unwrap();
     let mut pu = ProcessingUnit::new();
     pu.load_kernel(program, bindings).unwrap();
     // PU waits at slot 0; offering slot 2 must not execute anything.
     let rep = pu.on_command(2, &mut mem);
     assert!(!rep.executed);
     assert_eq!(pu.pending_slot(), Some(0));
+    // Once it has exited, it waits at no slot.
+    drive_to_completion(&mut pu, &mut mem, &schedule);
+    assert_eq!(pu.pending_slot(), None);
 }
 
 #[test]
@@ -526,5 +533,172 @@ EXIT
     assert_eq!(
         mem.region(out).data(),
         &[11.0, 22.0, 33.0, 44.0, 55.0, 66.0, 77.0, 88.0]
+    );
+}
+
+/// Digest of an offer stream's every report plus the complete final
+/// unit state and bank memory. The pinned values below were recorded from
+/// the original allocating interpreter; the alloc-free arms must reproduce
+/// its exact operation order, quantization points, stats and queue effects.
+fn pinned_digest(
+    asm: &str,
+    bindings: Vec<Option<Binding>>,
+    regions: &[(&str, Vec<f64>)],
+    srf: f64,
+    offers: usize,
+) -> u64 {
+    let program = assemble(asm).unwrap();
+    let schedule = program.command_schedule().expect("schedulable");
+    let mut mem = BankMemory::new(1024);
+    for (name, data) in regions {
+        mem.alloc(*name, 8, data.clone());
+    }
+    let mut pu = ProcessingUnit::new();
+    pu.load_kernel(program, bindings).unwrap();
+    pu.set_srf(srf);
+    pu.run_free(&mut mem);
+    let mut log = format!("{pu:?}");
+    for &slot in schedule.iter().cycle().take(offers) {
+        let rep = pu.on_command(slot, &mut mem);
+        log.push_str(&format!("{slot}{rep:?}"));
+        if pu.exited() {
+            break;
+        }
+    }
+    crate::debug_digest(&format_args!("{log}{pu:?}{mem:?}"))
+}
+
+fn r(i: usize) -> Option<Binding> {
+    Some(Binding::new(RegionId(i)))
+}
+
+#[test]
+fn sparse_stream_matches_pinned_reference() {
+    // The SpMV inner loop over interleaved triples: SPMOV row/col/val,
+    // INDMOV gather, SpVDV against a dense register, SpVDV accumulate
+    // into the bank, CEXIT + JUMP.
+    let s = SENTINEL;
+    let mut triples = vec![0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 0.0, 2.0, 3.0, 4.0, 5.0];
+    triples.extend([s, s, s, s, s, s, s, s, 0.0, 0.0, 0.0, 0.0]);
+    let t = RegionId(0);
+    let bindings = vec![
+        Some(Binding::strided(t, 0, 12)),
+        Some(Binding::strided(t, 4, 12)),
+        Some(Binding::strided(t, 8, 12)),
+        r(1),
+        None,
+        r(2),
+        None,
+        None,
+    ];
+    let regions = [
+        ("triples", triples),
+        ("x", vec![1.0, 10.0, 100.0, 1000.0]),
+        ("y", vec![0.0; 8]),
+    ];
+    assert_eq!(
+        pinned_digest(SPMV_ASM, bindings, &regions, 0.0, 64),
+        0xfb49_2657_db9e_35d3
+    );
+}
+
+#[test]
+fn blas1_register_ops_match_pinned_reference() {
+    // DMOV bank<->DRF, SDV in place, DVDV, DMOV SRF->DRF, REDUCE and a
+    // counted JUMP: the dense BLAS-1 shapes plus the register moves.
+    let asm = r"
+DMOV   DRF0, BANK, FP64
+DMOV   DRF1, BANK, FP64
+SDV    DRF0, DRF0, MUL, FP64
+DVDV   DRF1, DRF0, DRF1, ADD, FP64
+DMOV   BANK, DRF1, FP64
+DMOV   DRF2, SRF, FP64
+REDUCE DRF1, ADD, FP64
+JUMP   0, 1, 3
+EXIT
+";
+    let x = vec![
+        1.5, -2.0, 3.25, 4.0, 0.5, 6.0, -7.5, 8.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0,
+    ];
+    let y = vec![
+        0.5, 1.0, -1.0, 2.0, 3.0, -3.0, 4.0, 0.25, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0,
+    ];
+    let bindings = vec![r(0), r(1), None, None, r(1), None, None, None, None];
+    let regions = [("x", x), ("y", y)];
+    assert_eq!(
+        pinned_digest(asm, bindings, &regions, 1.25, 64),
+        0x007e_534a_9569_31ad
+    );
+}
+
+#[test]
+fn gather_scatter_and_spvspv_match_pinned_reference() {
+    // GTHSCT gathers into two queues, SpVSpV union-merges them, SPFW
+    // streams the merge out, CEXIT + JUMP loop until drained.
+    let asm = r"
+GTHSCT SPVQ0, BANK, ZERO, FP64
+GTHSCT SPVQ1, BANK, ZERO, FP64
+SPVSPV SPVQ2, SPVQ0, SPVQ1, ADD, UNION, FP64
+SPFW   SPVQ2, FP64
+CEXIT  SPVQ0
+JUMP   0, 0, 0
+";
+    let bindings = vec![r(0), r(1), None, r(2), None, None];
+    let regions = [
+        ("a", vec![0.0, 2.0, 0.0, 4.0, 5.0, 0.0, 0.0, 8.0]),
+        ("b", vec![1.0, 0.0, 3.0, 4.0, 0.0, 6.0, 0.0, 0.0]),
+        ("out", vec![0.0; 48]),
+    ];
+    assert_eq!(
+        pinned_digest(asm, bindings, &regions, 0.0, 64),
+        0x4493_2a89_c050_6eac
+    );
+}
+
+#[test]
+fn int8_full_width_arms_match_pinned_reference() {
+    // INT8 runs 32 lanes, the widest register and queue window: SDV into
+    // another register and in place, DRF->DRF and DRF->SRF moves, DVDV,
+    // a gather feeding a full-width INDMOV, SpVDV against a register, the
+    // SRF and a bank stream, SPFW and a register store.
+    let asm = r"
+DMOV   DRF0, BANK, INT8
+SDV    DRF1, DRF0, ADD, INT8
+SDV    DRF1, DRF1, MUL, INT8
+DMOV   DRF2, DRF1, INT8
+DMOV   SRF, DRF2, INT8
+DVDV   DRF0, DRF1, DRF2, SUB, INT8
+GTHSCT SPVQ0, BANK, ZERO, INT8
+INDMOV DRF1, SPVQ0, INT8
+SPVDV  SPVQ1, SPVQ0, DRF1, MUL, INTER, INT8
+SPVDV  SPVQ2, SPVQ1, SRF, ADD, INTER, INT8
+SPVDV  SPVQ1, SPVQ2, BANK, MUL, INTER, INT8
+SPFW   SPVQ1, INT8
+DMOV   BANK, DRF0, INT8
+JUMP   0, 1, 2
+EXIT
+";
+    let x: Vec<f64> = (0..96).map(|i| f64::from(i % 7) - 3.0).collect();
+    let g: Vec<f64> = (0..96u32)
+        .map(|i| f64::from(u32::from(i % 3 == 0) * (i % 5 + 1)))
+        .collect();
+    let y: Vec<f64> = (0..96).map(|i| f64::from(i % 4) - 1.0).collect();
+    let mut bindings = vec![None; 15];
+    bindings[0] = r(0);
+    bindings[6] = r(1);
+    bindings[7] = r(0);
+    bindings[10] = r(2);
+    bindings[11] = r(3);
+    bindings[12] = r(4);
+    let regions = [
+        ("x", x),
+        ("g", g),
+        ("y", y),
+        ("out", vec![0.0; 512]),
+        ("st", vec![0.0; 128]),
+    ];
+    assert_eq!(
+        pinned_digest(asm, bindings, &regions, 2.0, 96),
+        0xc4d4_0234_787e_bb0e
     );
 }

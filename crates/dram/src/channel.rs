@@ -16,7 +16,7 @@
 
 use crate::bank::Bank;
 use crate::command::{CmdKind, Scope};
-use crate::config::HbmConfig;
+use crate::config::{HbmConfig, Timing};
 use crate::stats::ChannelStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -29,6 +29,64 @@ pub struct Issued {
     /// For column commands, the cycle the data burst completes (read data
     /// valid at the PU / write restored enough for consumers).
     pub data_cycle: u64,
+}
+
+impl Issued {
+    /// `cmd` issued at `at`: a column command's data burst completes
+    /// RL/WL + 1 cycles later, anything else at once.
+    pub(crate) fn at(cmd: CmdKind, at: u64, t: &Timing) -> Issued {
+        let data_cycle = match cmd {
+            CmdKind::Rd { .. } => at + t.rl + 1,
+            CmdKind::Wr { .. } => at + t.wl + 1,
+            _ => at,
+        };
+        Issued {
+            issue_cycle: at,
+            data_cycle,
+        }
+    }
+}
+
+/// The 2-command-per-cycle channel bus: the latest cycle that carried a
+/// command and how many it carried. Issue is monotonic (nothing may issue
+/// before `cycle`), so one `(cycle, count)` pair models the bus exactly —
+/// the old two-slot array forgot older cycles and let 3+ commands share a
+/// slot under out-of-order probing.
+#[derive(Debug, Clone)]
+pub(crate) struct CmdBus {
+    cycle: i64,
+    count: u8,
+}
+
+impl CmdBus {
+    pub(crate) fn new() -> Self {
+        CmdBus {
+            cycle: NEVER,
+            count: 0,
+        }
+    }
+
+    /// The first cycle ≥ `cyc` with a free slot: a candidate behind the
+    /// bus is clamped forward, and a full cycle bumps it one past.
+    pub(crate) fn free_from(&self, cyc: i64) -> i64 {
+        let cyc = cyc.max(self.cycle);
+        if cyc == self.cycle && self.count >= 2 {
+            cyc + 1
+        } else {
+            cyc
+        }
+    }
+
+    /// Occupy a slot at `at`, a cycle [`CmdBus::free_from`] returned.
+    pub(crate) fn take(&mut self, at: i64) {
+        if at == self.cycle {
+            self.count += 1;
+        } else {
+            debug_assert!(at > self.cycle, "bus issue went backwards");
+            self.cycle = at;
+            self.count = 1;
+        }
+    }
 }
 
 /// Error returned when a command cannot issue as requested.
@@ -68,13 +126,7 @@ impl std::error::Error for IssueError {}
 pub struct Channel {
     cfg: HbmConfig,
     banks: Vec<Bank>, // indexed bg * banks_per_group + ba
-    /// Bus occupancy: the latest cycle that carried a command and how many
-    /// commands it carried. Issue is monotonic (nothing may issue before
-    /// `bus_cycle`), so one `(cycle, count)` pair models the 2-slot bus
-    /// exactly — the old two-slot array forgot older cycles and let 3+
-    /// commands share a slot under out-of-order probing.
-    bus_cycle: i64,
-    bus_count: u8,
+    bus: CmdBus,
     /// Last column-command issue per bank group (for tCCD_L) and channel
     /// wide (for tCCD_S).
     last_col_group: Vec<i64>,
@@ -87,7 +139,7 @@ pub struct Channel {
     stats: ChannelStats,
 }
 
-const NEVER: i64 = i64::MIN / 4;
+pub(crate) const NEVER: i64 = i64::MIN / 4;
 
 impl Channel {
     /// A fresh channel for the given configuration.
@@ -96,8 +148,7 @@ impl Channel {
         Channel {
             cfg: cfg.clone(),
             banks: (0..cfg.banks_per_channel()).map(|_| Bank::new()).collect(),
-            bus_cycle: NEVER,
-            bus_count: 0,
+            bus: CmdBus::new(),
             last_col_group: vec![NEVER; cfg.num_bankgroups],
             last_col_any: NEVER,
             last_act_group: vec![NEVER; cfg.num_bankgroups],
@@ -144,25 +195,6 @@ impl Channel {
         let t = &self.cfg.timing;
         let mut e = from;
 
-        // Bus: at most 2 commands on the same cycle. The bus is monotonic —
-        // a candidate cycle behind `bus_cycle` is clamped forward, and after
-        // bumping off a full cycle the new cycle is re-checked (the pre-fix
-        // code bumped once without re-checking, so a stale candidate could
-        // become the 3rd command on an already-full slot).
-        let bus_free = |mut cyc: i64| -> i64 {
-            loop {
-                if cyc < self.bus_cycle {
-                    cyc = self.bus_cycle;
-                    continue;
-                }
-                if cyc == self.bus_cycle && self.bus_count >= 2 {
-                    cyc += 1;
-                    continue;
-                }
-                return cyc;
-            }
-        };
-
         // Bank-level earliest.
         for bi in self.bank_range(scope) {
             e = e.max(self.banks[bi].earliest(cmd, t)?);
@@ -194,8 +226,7 @@ impl Channel {
             CmdKind::Pre | CmdKind::Ref | CmdKind::Mrs => {}
         }
 
-        e = bus_free(e);
-        Some(e)
+        Some(self.bus.free_from(e))
     }
 
     /// The bank indices a scope addresses, as a range (all-bank scopes are
@@ -245,27 +276,11 @@ impl Channel {
             _ => {}
         }
 
-        // Bus slot bookkeeping: `earliest_inner` guarantees at_i is either
-        // on the current (non-full) bus cycle or strictly after it.
-        if at_i == self.bus_cycle {
-            self.bus_count += 1;
-        } else {
-            debug_assert!(at_i > self.bus_cycle, "bus issue went backwards");
-            self.bus_cycle = at_i;
-            self.bus_count = 1;
-        }
-
+        // `earliest_inner` guarantees at_i is either on the current
+        // (non-full) bus cycle or strictly after it.
+        self.bus.take(at_i);
         self.stats.record(scope, cmd, nbanks);
-
-        let data_cycle = match cmd {
-            CmdKind::Rd { .. } => at + t.rl + 1,
-            CmdKind::Wr { .. } => at + t.wl + 1,
-            _ => at,
-        };
-        Issued {
-            issue_cycle: at,
-            data_cycle,
-        }
+        Issued::at(cmd, at, &t)
     }
 
     /// Issue `cmd` at cycle `at`.
@@ -289,34 +304,16 @@ impl Channel {
         Ok(self.apply_at(scope, cmd, at))
     }
 
-    /// Convenience: issue at the earliest legal cycle ≥ `from`.
+    /// Issue `cmd` at the earliest legal cycle ≥ `from`: one constraint
+    /// evaluation, then commit. Picks the same cycle as
+    /// [`Channel::earliest`] followed by [`Channel::issue`] — the earliest
+    /// cycle ≥ `from` is never before the earliest legal one, so `issue`'s
+    /// re-check could never fire.
     ///
     /// # Errors
     ///
     /// [`IssueError::IllegalState`] if the command cannot issue at all.
     pub fn issue_earliest(
-        &mut self,
-        scope: Scope,
-        cmd: CmdKind,
-        from: u64,
-    ) -> Result<Issued, IssueError> {
-        let e = self.earliest(scope, cmd, from);
-        if e == u64::MAX {
-            return Err(IssueError::IllegalState(format!("{cmd} with {scope}")));
-        }
-        self.issue(scope, cmd, e)
-    }
-
-    /// Single-pass [`Channel::issue_earliest`]: one constraint evaluation,
-    /// then commit. Produces identical results — `issue_earliest` computes
-    /// `e = earliest(from) ≥ earliest(0)`, so the re-check inside `issue`
-    /// never fires; this variant just skips it. The event-driven engine
-    /// tier uses it on its per-bank hot path.
-    ///
-    /// # Errors
-    ///
-    /// [`IssueError::IllegalState`] if the command cannot issue at all.
-    pub fn issue_earliest_fast(
         &mut self,
         scope: Scope,
         cmd: CmdKind,
@@ -413,6 +410,37 @@ mod tests {
             .issue_earliest(Scope::OneBank { bg: 0, ba: 1 }, CmdKind::Rd { col: 0 }, 0)
             .unwrap();
         assert!(r3.issue_cycle - r1.issue_cycle >= t.t_ccd_l);
+    }
+
+    #[test]
+    fn issue_earliest_matches_earliest_then_issue() {
+        // The single-pass issue_earliest and the public two-step API
+        // (earliest, then issue at that cycle) must pick the same cycles,
+        // per-bank scopes included.
+        let mut one = ch();
+        let mut two = ch();
+        let seq = [
+            (Scope::OneBank { bg: 0, ba: 0 }, CmdKind::Act { row: 3 }),
+            (Scope::OneBank { bg: 1, ba: 2 }, CmdKind::Act { row: 5 }),
+            (Scope::OneBank { bg: 0, ba: 0 }, CmdKind::Rd { col: 1 }),
+            (Scope::OneBank { bg: 1, ba: 2 }, CmdKind::Wr { col: 2 }),
+            (Scope::OneBank { bg: 0, ba: 0 }, CmdKind::Pre),
+            (Scope::OneBank { bg: 1, ba: 2 }, CmdKind::Pre),
+            (Scope::AllBanks, CmdKind::Ref),
+            (Scope::AllBanks, CmdKind::Mrs),
+            (Scope::AllBanks, CmdKind::Mrs),
+            (Scope::AllBanks, CmdKind::Mrs),
+        ];
+        let mut from = 0;
+        for (scope, cmd) in seq {
+            let a = one.issue_earliest(scope, cmd, from).unwrap();
+            let b = two
+                .issue(scope, cmd, two.earliest(scope, cmd, from))
+                .unwrap();
+            assert_eq!(a, b, "{cmd:?}");
+            from = a.issue_cycle;
+        }
+        assert_eq!(one.stats(), two.stats());
     }
 
     #[test]

@@ -1,22 +1,20 @@
-//! All-bank-only fast channel.
+//! All-bank-only channel: the engine's all-bank timing model.
 //!
 //! Under pSyncPIM's lockstep execution every command a channel sees is an
 //! all-bank broadcast, so all 16 banks move through *identical* state: the
 //! per-bank `earliest` maximum collapses to a single representative bank,
 //! and the per-bank-scope cursors (`last_col_group`, tRRD/tFAW windows)
 //! are never consulted. [`AbChannel`] exploits that: one [`Bank`], the
-//! channel-wide column cursor, and the 2-slot bus — a drop-in replacement
-//! for [`Channel`](crate::Channel) restricted to [`Scope::AllBanks`],
-//! proven equivalent by the exhaustive cross-check tests below and by the
-//! engine's golden-trace equivalence gate.
+//! channel-wide column cursor, and the 2-slot bus — the full
+//! [`Channel`](crate::Channel) restricted to [`Scope::AllBanks`], checked
+//! against it on random all-bank streams by the tests below. The full
+//! channel remains the per-bank model.
 
 use crate::bank::Bank;
-use crate::channel::{IssueError, Issued};
+use crate::channel::{CmdBus, IssueError, Issued, NEVER};
 use crate::command::{CmdKind, Scope};
 use crate::config::HbmConfig;
 use crate::stats::ChannelStats;
-
-const NEVER: i64 = i64::MIN / 4;
 
 /// A pseudo-channel that only ever issues all-bank broadcasts: one
 /// representative bank stands in for all `nbanks` identical ones.
@@ -25,8 +23,7 @@ pub struct AbChannel {
     timing: crate::config::Timing,
     nbanks: usize,
     bank: Bank,
-    bus_cycle: i64,
-    bus_count: u8,
+    bus: CmdBus,
     last_col_any: i64,
     stats: ChannelStats,
 }
@@ -39,8 +36,7 @@ impl AbChannel {
             timing: cfg.timing,
             nbanks: cfg.banks_per_channel(),
             bank: Bank::new(),
-            bus_cycle: NEVER,
-            bus_count: 0,
+            bus: CmdBus::new(),
             last_col_any: NEVER,
             stats: ChannelStats::default(),
         }
@@ -59,8 +55,8 @@ impl AbChannel {
     /// # Errors
     ///
     /// [`IssueError::IllegalState`] if the command cannot issue at all —
-    /// same message the full channel produces, so engine error paths are
-    /// tier-independent.
+    /// same message the full channel produces, so engine error paths read
+    /// the same in both execution modes.
     pub fn issue_earliest(&mut self, cmd: CmdKind, from: u64) -> Result<Issued, IssueError> {
         let t = &self.timing;
         let mut e = from as i64;
@@ -75,42 +71,15 @@ impl AbChannel {
             e = e.max(self.last_col_any + t.t_ccd_l as i64);
         }
 
-        // 2-slot command bus, monotonic.
-        loop {
-            if e < self.bus_cycle {
-                e = self.bus_cycle;
-                continue;
-            }
-            if e == self.bus_cycle && self.bus_count >= 2 {
-                e += 1;
-                continue;
-            }
-            break;
-        }
-        let at = e.max(0);
+        let at = self.bus.free_from(e).max(0);
 
         self.bank.apply(cmd, at, t);
         if matches!(cmd, CmdKind::Rd { .. } | CmdKind::Wr { .. }) {
             self.last_col_any = at;
         }
-        if at == self.bus_cycle {
-            self.bus_count += 1;
-        } else {
-            self.bus_cycle = at;
-            self.bus_count = 1;
-        }
+        self.bus.take(at);
         self.stats.record(Scope::AllBanks, cmd, self.nbanks);
-
-        let at = at as u64;
-        let data_cycle = match cmd {
-            CmdKind::Rd { .. } => at + t.rl + 1,
-            CmdKind::Wr { .. } => at + t.wl + 1,
-            _ => at,
-        };
-        Ok(Issued {
-            issue_cycle: at,
-            data_cycle,
-        })
+        Ok(Issued::at(cmd, at as u64, t))
     }
 }
 
@@ -183,31 +152,5 @@ mod tests {
             .unwrap_err();
         let b = fast.issue_earliest(CmdKind::Rd { col: 0 }, 0).unwrap_err();
         assert_eq!(format!("{a}"), format!("{b}"));
-    }
-
-    #[test]
-    fn single_pass_issue_earliest_fast_matches_two_pass() {
-        // The tick path's two-pass earliest+issue and the event path's
-        // single-pass variant must pick the same cycles on the full
-        // channel too (per-bank scopes included).
-        let cfg = HbmConfig::default();
-        let mut two = Channel::new(&cfg);
-        let mut one = Channel::new(&cfg);
-        let seq = [
-            (Scope::OneBank { bg: 0, ba: 0 }, CmdKind::Act { row: 3 }),
-            (Scope::OneBank { bg: 1, ba: 2 }, CmdKind::Act { row: 5 }),
-            (Scope::OneBank { bg: 0, ba: 0 }, CmdKind::Rd { col: 1 }),
-            (Scope::OneBank { bg: 1, ba: 2 }, CmdKind::Wr { col: 2 }),
-            (Scope::OneBank { bg: 0, ba: 0 }, CmdKind::Pre),
-            (Scope::OneBank { bg: 1, ba: 2 }, CmdKind::Pre),
-            (Scope::AllBanks, CmdKind::Ref),
-        ];
-        let mut from = 0;
-        for (scope, cmd) in seq {
-            let a = two.issue_earliest(scope, cmd, from).unwrap();
-            let b = one.issue_earliest_fast(scope, cmd, from).unwrap();
-            assert_eq!(a, b, "{cmd:?}");
-            from = a.issue_cycle;
-        }
     }
 }

@@ -31,8 +31,9 @@ pub struct PimDevice {
     /// Stall-event buffer capacity per engine phase when tracing
     /// (overflow is counted, never silently truncated).
     pub trace_events: usize,
-    /// Engine tier: the cycle-stepping reference loop or the bit-identical
-    /// event-driven fast path. Constructors honor `PSIM_ENGINE=event`.
+    /// Selects nothing: the engine has one replay path. Kept as a field
+    /// because the benchmark harness (`perfbench/`) sets and prints it; see
+    /// [`EngineTier`].
     pub tier: EngineTier,
 }
 
@@ -47,7 +48,7 @@ impl PimDevice {
             validate: false,
             trace: false,
             trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            tier: EngineTier::Event,
         }
     }
 
@@ -55,13 +56,8 @@ impl PimDevice {
     #[must_use]
     pub fn psync_3x() -> Self {
         PimDevice {
-            hbm: HbmConfig::default(),
-            mode: ExecMode::AllBank,
             cubes: 3,
-            validate: false,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            ..PimDevice::psync_1x()
         }
     }
 
@@ -69,13 +65,8 @@ impl PimDevice {
     #[must_use]
     pub fn per_bank() -> Self {
         PimDevice {
-            hbm: HbmConfig::default(),
             mode: ExecMode::PerBank,
-            cubes: 1,
-            validate: false,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            ..PimDevice::psync_1x()
         }
     }
 
@@ -91,12 +82,7 @@ impl PimDevice {
         };
         PimDevice {
             hbm,
-            mode: ExecMode::AllBank,
-            cubes: 1,
-            validate: false,
-            trace: false,
-            trace_events: DEFAULT_TRACE_EVENTS,
-            tier: EngineTier::from_env(),
+            ..PimDevice::psync_1x()
         }
     }
 
@@ -131,12 +117,7 @@ impl PimDevice {
         hbm.internal_bw *= frac;
         Some(PimDevice {
             hbm,
-            mode: self.mode,
-            cubes: self.cubes,
-            validate: self.validate,
-            trace: self.trace,
-            trace_events: self.trace_events,
-            tier: self.tier,
+            ..self.clone()
         })
     }
 
@@ -155,7 +136,6 @@ impl PimDevice {
             validate: self.validate,
             attribute: self.trace,
             event_limit: self.trace_events,
-            tier: self.tier,
             ..Default::default()
         })
     }

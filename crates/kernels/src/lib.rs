@@ -23,6 +23,7 @@
 pub mod blas1;
 pub mod costmodel;
 pub mod device;
+pub mod fingerprint;
 pub mod gemv;
 pub mod oracle;
 pub mod programs;

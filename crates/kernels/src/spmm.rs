@@ -143,20 +143,25 @@ impl SpmmPim {
     ///
     /// # Errors
     ///
-    /// Propagates engine/program failures.
+    /// [`CoreError::Operand`] when any vector's length differs from
+    /// `a.ncols()`; otherwise propagates engine/program failures.
     ///
     /// # Panics
     ///
-    /// Panics when `xs` is empty, wider than [`MAX_SPMM_WIDTH`], or any
-    /// vector's length differs from `a.ncols()`.
+    /// Panics when `xs` is empty or wider than [`MAX_SPMM_WIDTH`], or on a
+    /// blocked format with a non-arithmetic semiring.
     pub fn run(&self, a: &Coo, xs: &[Vec<f64>]) -> Result<SpmmResult, CoreError> {
         let width = xs.len();
         assert!(
             (1..=MAX_SPMM_WIDTH).contains(&width),
             "spmm width {width} outside 1..={MAX_SPMM_WIDTH}"
         );
-        for x in xs {
-            assert_eq!(x.len(), a.ncols(), "spmm operand length mismatch");
+        if let Some((v, x)) = xs.iter().enumerate().find(|(_, x)| x.len() != a.ncols()) {
+            return Err(CoreError::Operand(format!(
+                "spmm vector {v} has {} entries, the matrix {} columns",
+                x.len(),
+                a.ncols()
+            )));
         }
         assert!(
             !self.format.is_blocked() || (self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add),

@@ -122,13 +122,20 @@ impl SpmvPim {
     ///
     /// # Errors
     ///
-    /// Propagates engine/program failures.
+    /// [`CoreError::Operand`] if `x.len() != a.ncols()`; otherwise
+    /// propagates engine/program failures.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != a.ncols()`.
+    /// Panics on a blocked format with a non-arithmetic semiring.
     pub fn run(&self, a: &Coo, x: &[f64]) -> Result<SpmvResult, CoreError> {
-        assert_eq!(x.len(), a.ncols(), "spmv operand length mismatch");
+        if x.len() != a.ncols() {
+            return Err(CoreError::Operand(format!(
+                "spmv x has {} entries, the matrix {} columns",
+                x.len(),
+                a.ncols()
+            )));
+        }
         // Blocked fill zeros are inert only when 0·x is the accumulator
         // identity — the arithmetic semiring. Min/Max accumulation would
         // absorb the fill, so refuse rather than corrupt.

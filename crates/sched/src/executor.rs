@@ -876,6 +876,7 @@ impl LaneEngine {
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use crate::queue::SubmitError;
     use serde::Serialize as _;
     use std::sync::Arc;
 
@@ -887,6 +888,68 @@ mod tests {
                 x: vec![1.0; n],
             },
         )
+    }
+
+    #[test]
+    fn malformed_job_is_rejected_and_its_neighbours_complete() {
+        // A malformed job is refused at admission with a typed error; the
+        // valid jobs submitted around it complete with exactly the values
+        // (and cycles) they get in a batch that never saw it.
+        let a = Arc::new(psim_sparse::gen::rmat(32, 2, 3));
+        let x: Vec<f64> = (0..32).map(|i| 1.0 + f64::from(i)).collect();
+        let y: Vec<f64> = (0..32).map(|i| 0.5 * f64::from(i)).collect();
+        let valid = [
+            JobKind::spmv(Arc::clone(&a), x.clone()),
+            JobKind::Axpy {
+                alpha: 2.0,
+                x: x.clone(),
+                y: y.clone(),
+            },
+            JobKind::Dot {
+                x: x.clone(),
+                y: y.clone(),
+            },
+        ];
+        let short_x = JobKind::spmv(Arc::clone(&a), x[..31].to_vec());
+        let short_y = JobKind::Vv {
+            x: x.clone(),
+            y: y[..8].to_vec(),
+            op: psyncpim_core::isa::BinaryOp::Mul,
+        };
+        let exec = ShardExecutor::new(ExecutorConfig::sharded(PimDevice::tiny(2), 2)).unwrap();
+        let run = |with_bad: bool| {
+            let queue = JobQueue::bounded(8);
+            for (i, kind) in valid.iter().enumerate() {
+                queue.submit(JobSpec::batch("t", kind.clone())).unwrap();
+                if with_bad && i == 0 {
+                    let err = queue
+                        .submit(JobSpec::batch("t", short_x.clone()))
+                        .unwrap_err();
+                    assert!(
+                        matches!(&err, SubmitError::Invalid(m) if m.contains("31 != 32")),
+                        "{err}"
+                    );
+                }
+                if with_bad && i == 1 {
+                    let err = queue
+                        .try_submit(JobSpec::batch("t", short_y.clone()))
+                        .unwrap_err();
+                    assert!(matches!(err, SubmitError::Invalid(_)), "{err}");
+                }
+            }
+            exec.drain_and_run(&queue).unwrap()
+        };
+        let (clean, dirty) = (run(false), run(true));
+        assert_eq!(dirty.jobs.len(), valid.len());
+        for (c, d) in clean.jobs.iter().zip(&dirty.jobs) {
+            assert_eq!((c.id, &c.value), (d.id, &d.value));
+            assert_eq!(c.run.dram_cycles, d.run.dram_cycles);
+        }
+        // The kernel itself refuses the operand with a typed error too.
+        let err = SpmvPim::new(exec.shard_device().clone(), Precision::Fp64)
+            .run(&a, &x[..31])
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Operand(_)), "{err}");
     }
 
     #[test]

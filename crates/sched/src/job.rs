@@ -148,6 +148,29 @@ impl JobKind {
         };
         est.max(1) as u64
     }
+
+    /// Check that every operand fits its matrix or partner vector, so a
+    /// malformed job is refused at admission instead of failing inside a
+    /// worker with its whole batch.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the kernel and the mismatched lengths.
+    pub fn validate(&self) -> Result<(), String> {
+        let (what, got, want) = match self {
+            JobKind::Spmv { a, x, .. } => ("x length vs matrix columns", x.len(), a.ncols()),
+            JobKind::Sptrsv { t, b } => ("b length vs matrix dimension", b.len(), t.dim()),
+            JobKind::Axpy { x, y, .. } | JobKind::Vv { x, y, .. } | JobKind::Dot { x, y } => {
+                ("x length vs y length", x.len(), y.len())
+            }
+            JobKind::Scal { .. } | JobKind::Norm2 { .. } => return Ok(()),
+        };
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("{}: {what}: {got} != {want}", self.label()))
+        }
+    }
 }
 
 /// A tenant's request, ready for submission.

@@ -49,6 +49,9 @@ pub enum SubmitError {
     Full,
     /// The queue was closed; no further jobs are accepted.
     Closed,
+    /// The job is malformed (an operand's length does not match its
+    /// matrix or partner vector); see [`JobKind::validate`].
+    Invalid(String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -56,6 +59,7 @@ impl std::fmt::Display for SubmitError {
         match self {
             SubmitError::Full => write!(f, "job queue is full"),
             SubmitError::Closed => write!(f, "job queue is closed"),
+            SubmitError::Invalid(msg) => write!(f, "invalid job: {msg}"),
         }
     }
 }
@@ -112,8 +116,10 @@ impl JobQueue {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Closed`] if the queue has been closed.
+    /// [`SubmitError::Invalid`] for a malformed job (checked before
+    /// blocking), [`SubmitError::Closed`] if the queue has been closed.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
+        spec.kind.validate().map_err(SubmitError::Invalid)?;
         let mut inner = self.inner.lock();
         loop {
             if inner.closed {
@@ -134,9 +140,11 @@ impl JobQueue {
     ///
     /// # Errors
     ///
+    /// [`SubmitError::Invalid`] for a malformed job,
     /// [`SubmitError::Full`] when at capacity, [`SubmitError::Closed`]
     /// after [`JobQueue::close`].
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
+        spec.kind.validate().map_err(SubmitError::Invalid)?;
         let mut inner = self.inner.lock();
         if inner.closed {
             return Err(SubmitError::Closed);

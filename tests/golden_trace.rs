@@ -16,6 +16,7 @@
 //! then review the golden diffs like any other code change.
 
 use psyncpim::core::{ChannelMetrics, CycleBreakdown};
+use psyncpim::kernels::fingerprint;
 use psyncpim::kernels::{KernelRun, PimDevice, SpmvPim, SptrsvPim};
 use psyncpim::sparse::level::reorder_to_lower;
 use psyncpim::sparse::triangular::{unit_triangular_from, Triangle};
@@ -156,4 +157,25 @@ fn golden_runs_are_reproducible() {
         .unwrap();
     assert_eq!(r1.run.metrics, r2.run.metrics);
     assert_eq!(r1.run.attr, r2.run.attr);
+}
+
+#[test]
+fn engine_fingerprints_match_golden() {
+    // 13 kernels x {psync_1x+validate, tiny(2)+trace} x {AllBank, PerBank}:
+    // every cycle, command count, attribution vector and output bit of the
+    // engine, pinned (see `psim_kernels::fingerprint`).
+    let fps = fingerprint::engine_fingerprints();
+    let path = golden_path("engine_fingerprints");
+    let diffs = fingerprint::check_golden(&path, &fps).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); run with PSIM_BLESS=1",
+            path.display()
+        )
+    });
+    assert!(
+        diffs.is_empty(),
+        "engine diverged from {}:\n{}",
+        path.display(),
+        diffs.join("\n")
+    );
 }
