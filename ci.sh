@@ -42,9 +42,9 @@ echo "==> psim-fastpath (self-test both modes + engine fingerprints vs tests/gol
 cargo run -q --release -p psim-bench --bin psim_fastpath
 test -s results/BENCH_fastpath.json || { echo "missing results/BENCH_fastpath.json" >&2; exit 1; }
 
-echo "==> psim-soak (service-mode fusion/steal soak, scaled down; writes results/BENCH_soak.json)"
+echo "==> psim-soak (service-mode fusion/steal soak, scaled down; writes target/BENCH_soak_gate.json)"
 cargo run -q --release -p psim-bench --bin soak_sched -- --jobs 30000 --gate
-test -s results/BENCH_soak.json || { echo "missing results/BENCH_soak.json" >&2; exit 1; }
+test -s target/BENCH_soak_gate.json || { echo "missing target/BENCH_soak_gate.json" >&2; exit 1; }
 
 echo "==> psim-autotune (layout autotuner gate: oracle, geomean win, rank agreement; writes results/BENCH_autotune.json)"
 cargo run -q --release -p psim-bench --bin ablation_autotune

@@ -5,7 +5,7 @@
 //! 1. **Self-test** — the kernel self-test battery (values against CPU
 //!    references, protocol checker attached) passes in both execution
 //!    modes.
-//! 2. **Fingerprints** — the 13-kernel fingerprint battery
+//! 2. **Fingerprints** — the 14-kernel fingerprint battery
 //!    ([`psim_kernels::fingerprint`]: every serialized `KernelRun` field
 //!    plus the output bits, on a validated full-size device and a traced
 //!    small one, in both modes) matches the committed

@@ -41,6 +41,18 @@ pub struct ScalarRun {
     pub run: KernelRun,
 }
 
+/// [`CoreError::Operand`] unless a kernel's two operands have equal
+/// lengths.
+fn same_len(kernel: &str, x: usize, y: usize) -> Result<(), CoreError> {
+    if x == y {
+        Ok(())
+    } else {
+        Err(CoreError::Operand(format!(
+            "{kernel} operands have {x} and {y} entries"
+        )))
+    }
+}
+
 /// Stripe geometry: `n` elements over `nbanks` banks in `lanes`-aligned
 /// contiguous stripes.
 fn stripe_len(n: usize, nbanks: usize, lanes: usize) -> usize {
@@ -111,13 +123,8 @@ impl Blas1Pim {
         if let Some(v) = srf {
             engine.set_srf_all(v);
         }
-        let report = engine.run()?;
         let mut run = KernelRun::default();
-        run.kernel_s += report.seconds;
-        run.dram_cycles += report.dram_cycles;
-        run.absorb_wall(&report);
-        run.absorb_engine(&report);
-        run.phases = 1;
+        run.absorb_phase(&engine.run()?);
         run.absorb_host(&host);
         Ok(run)
     }
@@ -148,13 +155,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on length mismatch; otherwise propagates
+    /// engine failures.
     pub fn dswap(&self, x: &[f64], y: &[f64]) -> Result<(VecRun, Vec<f64>), CoreError> {
-        assert_eq!(x.len(), y.len(), "dswap length mismatch");
+        same_len("dswap", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
         let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
@@ -196,13 +200,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on length mismatch; otherwise propagates
+    /// engine failures.
     pub fn daxpy(&self, a: f64, x: &[f64], y: &[f64]) -> Result<VecRun, CoreError> {
-        assert_eq!(x.len(), y.len(), "daxpy length mismatch");
+        same_len("daxpy", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
         let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
@@ -224,18 +225,15 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on length mismatch; otherwise propagates
+    /// engine failures.
     pub fn dvdv(
         &self,
         x: &[f64],
         y: &[f64],
         op: psyncpim_core::isa::BinaryOp,
     ) -> Result<VecRun, CoreError> {
-        assert_eq!(x.len(), y.len(), "dvdv length mismatch");
+        same_len("dvdv", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
         let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
@@ -258,13 +256,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
+    /// [`CoreError::Operand`] on length mismatch; otherwise propagates
+    /// engine failures.
     pub fn ddot(&self, x: &[f64], y: &[f64]) -> Result<ScalarRun, CoreError> {
-        assert_eq!(x.len(), y.len(), "ddot length mismatch");
+        same_len("ddot", x.len(), y.len())?;
         let mut engine = self.device.make_engine();
         let (rx, sl) = self.alloc_stripes(&mut engine, "x", x);
         let (ry, _) = self.alloc_stripes(&mut engine, "y", y);
@@ -337,9 +332,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// [`CoreError::Operand`] when `x_sp.dim() != y.len()`; otherwise
+    /// propagates engine failures.
     pub fn scatter(&self, x_sp: &SparseVec, y: &[f64]) -> Result<VecRun, CoreError> {
-        assert_eq!(x_sp.dim(), y.len(), "scatter length mismatch");
+        same_len("scatter", x_sp.dim(), y.len())?;
         let mut engine = self.device.make_engine();
         let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
@@ -359,9 +355,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// [`CoreError::Operand`] when `x_sp.dim() != y.len()`; otherwise
+    /// propagates engine failures.
     pub fn spaxpy(&self, a: f64, x_sp: &SparseVec, y: &[f64]) -> Result<VecRun, CoreError> {
-        assert_eq!(x_sp.dim(), y.len(), "spaxpy length mismatch");
+        same_len("spaxpy", x_sp.dim(), y.len())?;
         let mut engine = self.device.make_engine();
         let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
@@ -381,9 +378,10 @@ impl Blas1Pim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// [`CoreError::Operand`] when `x_sp.dim() != y.len()`; otherwise
+    /// propagates engine failures.
     pub fn spdot(&self, x_sp: &SparseVec, y: &[f64]) -> Result<ScalarRun, CoreError> {
-        assert_eq!(x_sp.dim(), y.len(), "spdot length mismatch");
+        same_len("spdot", x_sp.dim(), y.len())?;
         let mut engine = self.device.make_engine();
         let (ry, sl) = self.alloc_stripes(&mut engine, "y", y);
         let (r0, r1, r2) = self.alloc_triple_streams(&mut engine, x_sp, sl);
@@ -587,5 +585,27 @@ mod tests {
         assert!(i.run.rounds <= f.run.rounds);
         assert!(i.run.kernel_s < f.run.kernel_s);
         assert_eq!(i.v, x); // values < 128 survive quantization
+    }
+
+    #[test]
+    fn mismatched_operands_are_typed_errors() {
+        // Every two-operand kernel refuses a length mismatch with
+        // `CoreError::Operand` before touching the engine.
+        let r = runner();
+        let (x, y) = (vec![1.0; 10], vec![1.0; 9]);
+        let sp = SparseVec::from_pairs(10, vec![(3, 2.0)]);
+        let errors = [
+            r.dswap(&x, &y).map(|_| ()),
+            r.daxpy(2.0, &x, &y).map(|_| ()),
+            r.dvdv(&x, &y, psyncpim_core::isa::BinaryOp::Add)
+                .map(|_| ()),
+            r.ddot(&x, &y).map(|_| ()),
+            r.scatter(&sp, &y).map(|_| ()),
+            r.spaxpy(2.0, &sp, &y).map(|_| ()),
+            r.spdot(&sp, &y).map(|_| ()),
+        ];
+        for e in errors {
+            assert!(matches!(e, Err(CoreError::Operand(_))), "{e:?}");
+        }
     }
 }

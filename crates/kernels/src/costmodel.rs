@@ -24,7 +24,7 @@
 //! its bound.
 
 use crate::device::{triple_pairs, PimDevice};
-use psim_sparse::partition::{BankPartition, DistPolicy, PartitionConfig, PartitionScheme};
+use psim_sparse::partition::{BankPartition, PartitionConfig};
 use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, Coo, Csc, Layout, LevelSchedule, Precision};
 
@@ -242,23 +242,11 @@ impl CostModel {
         triple_pairs(max_nnz, lanes) as f64 - 0.5
     }
 
-    /// SpMV `y = A x`: partition exactly as [`crate::SpmvPim`] does, then
-    /// cost each wave by its slowest cube.
+    /// SpMV `y = A x` on the baseline layout: partition exactly as
+    /// [`crate::SpmvPim`] does, then cost each wave by its slowest cube.
     #[must_use]
     pub fn spmv(&self, a: &Coo, precision: Precision) -> CostEstimate {
-        self.spmv_with(a, precision, DistPolicy::RoundRobin, true)
-    }
-
-    /// [`CostModel::spmv`] with explicit placement policy and compression.
-    #[must_use]
-    pub fn spmv_with(
-        &self,
-        a: &Coo,
-        precision: Precision,
-        policy: DistPolicy,
-        compress: bool,
-    ) -> CostEstimate {
-        self.batched_walk(a, 1, precision, policy, compress, PartitionScheme::Row1D)
+        self.spmv_layout(a, precision, Layout::baseline())
     }
 
     /// SpMV from an explicit [`Layout`]: the format's execution stream
@@ -269,12 +257,24 @@ impl CostModel {
     /// cut, the policy changes placement.
     #[must_use]
     pub fn spmv_layout(&self, a: &Coo, precision: Precision, layout: Layout) -> CostEstimate {
-        let expanded = layout.format.expand(a);
-        let a = expanded.as_ref().unwrap_or(a);
-        self.batched_walk(a, 1, precision, layout.policy, true, layout.scheme)
+        self.spmm_layout(a, 1, precision, layout)
     }
 
-    /// SpMM from an explicit [`Layout`] over `width` fused vectors.
+    /// SpMM `Y = A X` over `width` fused vectors on the baseline layout:
+    /// the SpMV walk with every bank stream *block-diagonally expanded*
+    /// (`width × max_nnz` entries through one launch), exactly as
+    /// [`crate::SpmmPim`] lays it out. Width 1 is identical to
+    /// [`CostModel::spmv`].
+    #[must_use]
+    pub fn spmm(&self, a: &Coo, width: usize, precision: Precision) -> CostEstimate {
+        self.spmm_layout(a, width, precision, Layout::baseline())
+    }
+
+    /// SpMM from an explicit [`Layout`] over `width` fused vectors: the
+    /// one batched-stream walk behind every SpMV/SpMM estimate.
+    /// Partition exactly as the kernels do, then cost each wave by its
+    /// slowest cube, with each bank stream block-diagonally expanded
+    /// `width` times (width 1 = plain SpMV).
     #[must_use]
     pub fn spmm_layout(
         &self,
@@ -286,21 +286,6 @@ impl CostModel {
         assert!(width >= 1, "spmm width must be at least 1");
         let expanded = layout.format.expand(a);
         let a = expanded.as_ref().unwrap_or(a);
-        self.batched_walk(a, width, precision, layout.policy, true, layout.scheme)
-    }
-
-    /// The shared batched-stream walk: partition exactly as the kernels
-    /// do, then cost each wave by its slowest cube, with each bank stream
-    /// block-diagonally expanded `width` times (width 1 = plain SpMV).
-    fn batched_walk(
-        &self,
-        a: &Coo,
-        width: usize,
-        precision: Precision,
-        policy: DistPolicy,
-        compress: bool,
-        scheme: PartitionScheme,
-    ) -> CostEstimate {
         let nbanks = self.banks_per_cube * self.cubes;
         let part = BankPartition::build(
             a,
@@ -308,9 +293,9 @@ impl CostModel {
                 num_banks: nbanks,
                 row_bytes: self.row_bytes,
                 precision,
-                policy,
-                compress,
-                scheme,
+                policy: layout.policy,
+                compress: true,
+                scheme: layout.scheme,
             },
         );
         // Per-bank nnz queues; wave w takes each bank's w-th submatrix.
@@ -342,37 +327,6 @@ impl CostModel {
             }
         }
         est
-    }
-
-    /// SpMM `Y = A X` over `width` fused vectors: same partition walk as
-    /// [`CostModel::spmv`], but every bank stream is the *block-diagonal
-    /// expansion* (`width × max_nnz` entries through one launch), exactly
-    /// as [`crate::SpmmPim`] lays it out. Width 1 is identical to
-    /// [`CostModel::spmv`].
-    #[must_use]
-    pub fn spmm(&self, a: &Coo, width: usize, precision: Precision) -> CostEstimate {
-        self.spmm_with(a, width, precision, DistPolicy::RoundRobin, true)
-    }
-
-    /// [`CostModel::spmm`] with explicit placement policy and compression.
-    #[must_use]
-    pub fn spmm_with(
-        &self,
-        a: &Coo,
-        width: usize,
-        precision: Precision,
-        policy: DistPolicy,
-        compress: bool,
-    ) -> CostEstimate {
-        assert!(width >= 1, "spmm width must be at least 1");
-        self.batched_walk(
-            a,
-            width,
-            precision,
-            policy,
-            compress,
-            PartitionScheme::Row1D,
-        )
     }
 
     /// SpTRSV `T x = b`: walk the same block plan and level schedule as

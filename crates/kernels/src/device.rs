@@ -282,17 +282,15 @@ impl KernelRun {
         }
     }
 
-    /// Fold one sequential engine phase plus its host activity into the
-    /// run.
-    pub fn absorb_phase(&mut self, report: &RunReport, host: &HostController) {
+    /// Fold one sequential engine phase into the run: its wall-clock
+    /// fields, its attribution and its counters. Host time is folded
+    /// separately by [`Self::absorb_host`].
+    pub fn absorb_phase(&mut self, report: &RunReport) {
         self.kernel_s += report.seconds;
         self.dram_cycles += report.dram_cycles;
         self.absorb_wall(report);
         self.absorb_engine(report);
         self.phases += 1;
-        // Host time is absorbed once at the end via absorb_host; nothing
-        // per-phase here beyond what the report carries.
-        let _ = host;
     }
 
     /// Fold the host controller's accumulated report.
@@ -408,12 +406,6 @@ pub fn batched_sparse_bindings(
         None,
         None,
     ]
-}
-
-/// Bytes of one element at a precision (helper shared by kernels).
-#[must_use]
-pub fn elem_bytes(p: Precision) -> usize {
-    p.bytes()
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Engine fingerprints: the exact behaviour of the cycle engine, pinned.
 //!
-//! A fixed 13-kernel battery (SpMV, SpTRSV, the BLAS-1 family, GATHER /
-//! SCATTER, the sparse BLAS-1 pair and DGEMV) runs on two device shapes
-//! in both execution modes:
+//! A fixed 14-kernel battery (SpMV, a width-3 SpMM, SpTRSV, the BLAS-1
+//! family, GATHER / SCATTER, the sparse BLAS-1 pair and DGEMV) runs on two
+//! device shapes in both execution modes:
 //!
 //! * `psync_1x+validate` — the full 256-bank device with the independent
 //!   protocol checker attached;
@@ -20,7 +20,7 @@
 
 use crate::blas1::Blas1Pim;
 use crate::gemv::Gemv;
-use crate::{KernelRun, PimDevice, SpmvPim, SptrsvPim};
+use crate::{KernelRun, PimDevice, SpmmPim, SpmvPim, SptrsvPim};
 use psim_sparse::dense::SparseVec;
 use psim_sparse::triangular::{unit_triangular_from, Triangle};
 use psim_sparse::{gen, Precision};
@@ -48,6 +48,8 @@ fn battery(device: &PimDevice) -> Vec<(&'static str, KernelRun, Vec<f64>)> {
     let (nr, nc) = (24, 20);
     let blas = Blas1Pim::new(device.clone(), Precision::Fp64);
     let spmv = SpmvPim::new(device.clone(), Precision::Fp64).run(&a, &x);
+    let spmm = SpmmPim::new(device.clone(), Precision::Fp64)
+        .run(&a, &[x.clone(), y.clone(), gen::dense_vector(n, 5)]);
     let sptrsv = SptrsvPim::new(device.clone()).run(&t, &t.matvec(&x));
     let gemv = Gemv::new(device.clone(), Precision::Fp64).dgemv(
         &gen::dense_vector(nr * nc, 3),
@@ -59,6 +61,7 @@ fn battery(device: &PimDevice) -> Vec<(&'static str, KernelRun, Vec<f64>)> {
     let scalar = |r: Result<crate::blas1::ScalarRun, _>| r.map(|r| (r.run, vec![r.s]));
     let runs = [
         ("SpMV", spmv.map(|r| (r.run, r.y))),
+        ("SpMM", spmm.map(|r| (r.run, r.ys.concat()))),
         ("SpTRSV", sptrsv.map(|r| (r.run, r.x))),
         ("DCOPY", vector(blas.dcopy(&x))),
         ("DSCAL", vector(blas.dscal(1.5, &x))),

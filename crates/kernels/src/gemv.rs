@@ -134,12 +134,7 @@ impl Gemv {
             mode_cycle(&mut host, program.len());
             engine.load_kernel(program, bindings.clone())?;
             engine.set_srf_all(0.0);
-            let report = engine.run()?;
-            run.kernel_s += report.seconds;
-            run.dram_cycles += report.dram_cycles;
-            run.absorb_wall(&report);
-            run.absorb_engine(&report);
-            run.phases += 1;
+            run.absorb_phase(&engine.run()?);
             if panels > 1 {
                 // Host accumulates per-panel partials.
                 host.collect(nrows * ebytes);

@@ -7,13 +7,17 @@
 //! * [`blas1`] — dense/sparse Level-1 kernels (DSWAP, DSCAL, DCOPY, DAXPY,
 //!   SpAXPY, DDOT, SpDOT, DNRM2, GATHER, SCATTER),
 //! * [`gemv`] — DGEMV and DTRSV,
-//! * [`spmv`] — SpMV with the §V compression/distribution policy,
+//! * [`spmv`] — SpMV with the §V compression/distribution policy, and the
+//!   one wave driver every SpMV and SpMM runs through,
 //! * [`spmm`] — multi-vector SpMV (SpMM) via block-diagonal expansion, the
-//!   substrate for the scheduler's same-matrix job fusion,
+//!   substrate for the scheduler's same-matrix job fusion; SpMV is its
+//!   width-1 case,
 //! * [`sptrsv`] — SpTRSV via the recursive block algorithm, level batches
 //!   and the scalar-multiplication column sweep (§VI),
 //! * [`device`] — the simulated pSyncPIM device configurations (1×, 3×,
-//!   per-bank) and the combined kernel+host run report.
+//!   per-bank) and the combined kernel+host run report,
+//! * [`costmodel`] — the O(nnz) analytical cycle estimate,
+//! * [`fingerprint`] — the pinned engine-fingerprint battery.
 //!
 //! Each kernel both *computes the real result* (the PU interpreter executes
 //! the assembled program against bank memory) and *accounts time* (DRAM

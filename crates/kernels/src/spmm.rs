@@ -19,20 +19,15 @@
 //! original order and every `(v, row)` output slot disjoint, each fused
 //! vector's result is **bit-identical** to running [`SpmvPim`] on that
 //! vector alone — the scheduler can scatter fused results back to the
-//! original jobs without any numeric disclaimer. Width 1 degenerates to
-//! exactly the SpMV data path (same pairs, same regions, same bytes).
+//! original jobs without any numeric disclaimer. Width 1 *is* the SpMV
+//! data path: [`SpmvPim::run`] and [`SpmmPim::run`] share one wave driver
+//! (`SpmvPim::run_batch`), and this module only adds the width bound.
 
-use crate::device::{
-    batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, KernelRun, PimDevice,
-};
-use crate::programs;
+use crate::device::{KernelRun, PimDevice};
 use crate::spmv::SpmvPim;
-use psim_sparse::partition::{
-    BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats, SubMatrix,
-};
-use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
-use psyncpim_core::isa::{assemble, BinaryOp};
-use psyncpim_core::memory::Binding;
+use psim_sparse::partition::PartitionStats;
+use psim_sparse::{Coo, Layout, Precision};
+use psyncpim_core::isa::BinaryOp;
 use psyncpim_core::CoreError;
 
 /// Largest fusion width the kernel accepts. The expansion multiplies the
@@ -42,25 +37,11 @@ use psyncpim_core::CoreError;
 /// group.
 pub const MAX_SPMM_WIDTH: usize = 16;
 
-/// SpMM kernel runner (multi-vector [`SpmvPim`]).
+/// SpMM kernel runner: an [`SpmvPim`] configuration (device, precision,
+/// semiring, layout) run over several vectors at once.
 #[derive(Debug, Clone)]
 pub struct SpmmPim {
-    /// Target device.
-    pub device: PimDevice,
-    /// Element precision.
-    pub precision: Precision,
-    /// Submatrix placement policy.
-    pub policy: DistPolicy,
-    /// Semiring multiply.
-    pub mul: BinaryOp,
-    /// Semiring accumulate.
-    pub acc: BinaryOp,
-    /// Matrix compression (paper Figure 6).
-    pub compress: bool,
-    /// Storage format the matrix executes from (see [`SpmvPim::format`]).
-    pub format: MatrixFormat,
-    /// Partition scheme (see [`SpmvPim::scheme`]).
-    pub scheme: PartitionScheme,
+    spmv: SpmvPim,
 }
 
 /// Result of a distributed SpMM.
@@ -83,14 +64,7 @@ impl SpmmPim {
     #[must_use]
     pub fn new(device: PimDevice, precision: Precision) -> Self {
         SpmmPim {
-            device,
-            precision,
-            policy: DistPolicy::RoundRobin,
-            mul: BinaryOp::Mul,
-            acc: BinaryOp::Add,
-            compress: true,
-            format: MatrixFormat::Coo,
-            scheme: PartitionScheme::Row1D,
+            spmv: SpmvPim::new(device, precision),
         }
     }
 
@@ -103,40 +77,23 @@ impl SpmmPim {
         acc: BinaryOp,
     ) -> Self {
         SpmmPim {
-            device,
-            precision,
-            policy: DistPolicy::RoundRobin,
-            mul,
-            acc,
-            compress: true,
-            format: MatrixFormat::Coo,
-            scheme: PartitionScheme::Row1D,
+            spmv: SpmvPim::with_semiring(device, precision, mul, acc),
         }
     }
 
     /// Adopt a tuned [`Layout`] (format, scheme, policy) wholesale.
     #[must_use]
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.format = layout.format;
-        self.scheme = layout.scheme;
-        self.policy = layout.policy;
-        self
+    pub fn with_layout(self, layout: Layout) -> Self {
+        SpmmPim {
+            spmv: self.spmv.with_layout(layout),
+        }
     }
 
-    /// The equivalent single-vector runner (shared partition/semiring
-    /// configuration) — what each fused vector would have run alone.
+    /// The single-vector runner this one wraps — what each fused vector
+    /// would have run alone.
     #[must_use]
-    pub fn as_spmv(&self) -> SpmvPim {
-        SpmvPim {
-            device: self.device.clone(),
-            precision: self.precision,
-            policy: self.policy,
-            mul: self.mul,
-            acc: self.acc,
-            compress: self.compress,
-            format: self.format,
-            scheme: self.scheme,
-        }
+    pub fn as_spmv(&self) -> &SpmvPim {
+        &self.spmv
     }
 
     /// Compute `y_v = A x_v` for every fused vector in one pass.
@@ -144,178 +101,20 @@ impl SpmmPim {
     /// # Errors
     ///
     /// [`CoreError::Operand`] when any vector's length differs from
-    /// `a.ncols()`; otherwise propagates engine/program failures.
+    /// `a.ncols()`, or on a blocked format with a non-arithmetic semiring;
+    /// otherwise propagates engine/program failures.
     ///
     /// # Panics
     ///
-    /// Panics when `xs` is empty or wider than [`MAX_SPMM_WIDTH`], or on a
-    /// blocked format with a non-arithmetic semiring.
-    pub fn run(&self, a: &Coo, xs: &[Vec<f64>]) -> Result<SpmmResult, CoreError> {
+    /// Panics when `xs` is empty or wider than [`MAX_SPMM_WIDTH`].
+    pub fn run<X: AsRef<[f64]>>(&self, a: &Coo, xs: &[X]) -> Result<SpmmResult, CoreError> {
         let width = xs.len();
         assert!(
             (1..=MAX_SPMM_WIDTH).contains(&width),
             "spmm width {width} outside 1..={MAX_SPMM_WIDTH}"
         );
-        if let Some((v, x)) = xs.iter().enumerate().find(|(_, x)| x.len() != a.ncols()) {
-            return Err(CoreError::Operand(format!(
-                "spmm vector {v} has {} entries, the matrix {} columns",
-                x.len(),
-                a.ncols()
-            )));
-        }
-        assert!(
-            !self.format.is_blocked() || (self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add),
-            "blocked formats require the arithmetic (Mul, Add) semiring"
-        );
-        let expanded = self.format.expand(a);
-        let a = expanded.as_ref().unwrap_or(a);
-        let nbanks = self.device.total_banks();
-        let part = BankPartition::build(
-            a,
-            PartitionConfig {
-                num_banks: nbanks,
-                row_bytes: self.device.hbm.row_bytes(),
-                precision: self.precision,
-                policy: self.policy,
-                compress: self.compress,
-                scheme: self.scheme,
-            },
-        );
-        let stats = part.stats();
-
-        let mut per_bank: Vec<Vec<&SubMatrix>> = vec![Vec::new(); nbanks];
-        for s in part.submatrices() {
-            per_bank[s.bank].push(s);
-        }
-        let waves = per_bank.iter().map(Vec::len).max().unwrap_or(0);
-
-        let lanes = self.precision.lanes();
-        let ebytes = self.precision.bytes();
-        let banks_per_cube = self.device.hbm.total_banks();
-        let program = assemble(&programs::spmm_stream(
-            self.precision,
-            &self.mul.to_string(),
-            &self.acc.to_string(),
-        ))?;
-        self.device.verify_program(&program)?;
-        let identity = self.acc.identity();
-
-        let mut host = self.device.make_host();
-        let mut run = KernelRun::default();
-        let mut ys = vec![vec![identity; a.nrows()]; width];
-
-        for wave in 0..waves {
-            // Broadcast this wave's gathered input slices — one slice per
-            // fused vector per bank (the matrix-side traversal is shared;
-            // the vector-side traffic still scales with the width).
-            let bcast: usize = per_bank
-                .iter()
-                .filter_map(|q| q.get(wave))
-                .map(|s| s.input_len() * ebytes * width)
-                .sum();
-            host.broadcast(bcast);
-            mode_cycle(&mut host, program.len());
-
-            let mut wave_seconds = 0.0f64;
-            let mut wave_cycles = 0u64;
-            let mut wave_wall = psyncpim_core::CycleBreakdown::default();
-            let mut collect_bytes = 0usize;
-            for cube in 0..self.device.cubes {
-                let lo = cube * banks_per_cube;
-                let max_nnz = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.nnz())
-                    .max()
-                    .unwrap_or(0);
-                if max_nnz == 0 {
-                    continue;
-                }
-                // The block-diagonal stream is `width` copies of the
-                // longest bank stream; the sentinel pair still closes it.
-                let pairs = triple_pairs(width * max_nnz, lanes);
-                let max_in = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.input_len())
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-                let max_out = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.output_len())
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-
-                let mut engine = self.device.make_engine();
-                let mut bindings: Vec<Option<Binding>> = Vec::new();
-                for b in 0..banks_per_cube {
-                    let sub = per_bank[lo + b].get(wave);
-                    let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-                    let mut xg = vec![0.0; width * max_in];
-                    if let Some(s) = sub {
-                        entries.reserve(width * s.entries.len());
-                        for (v, x) in xs.iter().enumerate() {
-                            let (dr, dc) = ((v * max_out) as u32, (v * max_in) as u32);
-                            entries
-                                .extend(s.entries.iter().map(|e| (e.row + dr, e.col + dc, e.val)));
-                            for (i, &c) in s.cols.iter().enumerate() {
-                                xg[v * max_in + i] = self.precision.quantize(x[c as usize]);
-                            }
-                        }
-                    }
-                    let triples = pack_triples(&entries, lanes, pairs, self.precision);
-                    let mem = engine.mem_mut(b);
-                    let rt = mem.alloc("triples", ebytes, triples);
-                    let rx = mem.alloc("x", ebytes, xg);
-                    let ry = mem.alloc("y", ebytes, vec![identity; width * max_out]);
-                    if b == 0 {
-                        bindings = batched_sparse_bindings(rt, rx, ry, lanes);
-                    }
-                }
-                engine.load_kernel(program.clone(), bindings.clone())?;
-                let report = engine.run()?;
-                wave_seconds = wave_seconds.max(report.seconds);
-                if report.dram_cycles > wave_cycles {
-                    wave_cycles = report.dram_cycles;
-                    if let Some(m) = &report.metrics {
-                        wave_wall = m.wall();
-                    }
-                }
-                run.absorb_engine(&report);
-
-                // Host accumulates the touched rows of every fused vector.
-                let y_region = bindings[10].expect("output bound").region;
-                for b in 0..banks_per_cube {
-                    if let Some(s) = per_bank[lo + b].get(wave) {
-                        let data = engine.mem(b).region(y_region).data();
-                        let mut touched: Vec<u32> = s.entries.iter().map(|e| e.row).collect();
-                        touched.sort_unstable();
-                        touched.dedup();
-                        for (v, y) in ys.iter_mut().enumerate() {
-                            for &lr in &touched {
-                                let g = s.row_lo + lr as usize;
-                                y[g] = self.acc.apply(data[v * max_out + lr as usize], y[g]);
-                            }
-                        }
-                        collect_bytes += width * touched.len() * (ebytes + 4);
-                    }
-                }
-            }
-            run.kernel_s += wave_seconds;
-            run.dram_cycles += wave_cycles;
-            run.attr.add_all(&wave_wall);
-            run.phases += 1;
-            host.collect(collect_bytes);
-        }
-        run.absorb_host(&host);
-
-        Ok(SpmmResult {
-            ys,
-            run,
-            stats,
-            waves,
-            width,
-        })
+        let xs: Vec<&[f64]> = xs.iter().map(AsRef::as_ref).collect();
+        self.spmv.run_batch(a, &xs)
     }
 }
 
@@ -419,8 +218,9 @@ mod tests {
         let a = gen::rmat(80, 3, 13);
         let xs = vectors(a.ncols(), 3, 29);
         for p in [Precision::Fp32, Precision::Int8] {
-            let fused = SpmmPim::new(validated(2), p).run(&a, &xs).unwrap();
-            let solo = SpmmPim::new(validated(2), p).as_spmv();
+            let spmm = SpmmPim::new(validated(2), p);
+            let fused = spmm.run(&a, &xs).unwrap();
+            let solo = spmm.as_spmv();
             for (v, x) in xs.iter().enumerate() {
                 let want = solo.run(&a, x).unwrap().y;
                 for (g, s) in fused.ys[v].iter().zip(&want) {
@@ -460,6 +260,7 @@ mod tests {
     #[should_panic(expected = "spmm width")]
     fn zero_width_is_rejected() {
         let a = Coo::new(4, 4);
-        let _ = SpmmPim::new(PimDevice::tiny(1), Precision::Fp64).run(&a, &[]);
+        let none: &[Vec<f64>] = &[];
+        let _ = SpmmPim::new(PimDevice::tiny(1), Precision::Fp64).run(&a, none);
     }
 }

@@ -8,11 +8,16 @@
 //! whose stream is shorter pad with the −1 sentinel and exit early via
 //! CEXIT. The host replicates compacted input-vector slices and accumulates
 //! non-zero partial outputs over the external bus.
+//!
+//! `SpmvPim::run_batch` is the one wave driver for SpMV and SpMM: SpMV is
+//! the width-1 case of the block-diagonal expansion [`crate::spmm`]
+//! describes, so a fused vector and a solo one share every line of it.
 
 use crate::device::{
     batched_sparse_bindings, mode_cycle, pack_triples, triple_pairs, KernelRun, PimDevice,
 };
 use crate::programs;
+use crate::spmm::SpmmResult;
 use psim_sparse::partition::{
     BankPartition, DistPolicy, PartitionConfig, PartitionScheme, PartitionStats, SubMatrix,
 };
@@ -43,7 +48,7 @@ pub struct SpmvPim {
     /// Storage format the matrix executes from. Element formats (COO/CSR)
     /// stream the true non-zeros; blocked formats (BCSR/BCOO) stream
     /// their tiles with fill zeros — sound only for the arithmetic
-    /// semiring, which [`SpmvPim::run`] asserts.
+    /// semiring, which [`SpmvPim::run`] checks.
     pub format: MatrixFormat,
     /// Partition scheme (1D row strips or a 2D column-blocked variant).
     pub scheme: PartitionScheme,
@@ -66,16 +71,7 @@ impl SpmvPim {
     /// Runner on the given device at a precision.
     #[must_use]
     pub fn new(device: PimDevice, precision: Precision) -> Self {
-        SpmvPim {
-            device,
-            precision,
-            policy: DistPolicy::RoundRobin,
-            mul: BinaryOp::Mul,
-            acc: BinaryOp::Add,
-            compress: true,
-            format: MatrixFormat::Coo,
-            scheme: PartitionScheme::Row1D,
-        }
+        Self::with_semiring(device, precision, BinaryOp::Mul, BinaryOp::Add)
     }
 
     /// Runner over an arbitrary semiring `(mul, acc)` — the GraphBLAS-style
@@ -118,20 +114,46 @@ impl SpmvPim {
         }
     }
 
-    /// Compute `y = A x` on the PIM device.
+    /// Compute `y = A x` on the PIM device: the width-1 case of
+    /// `SpmvPim::run_batch`.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Operand`] if `x.len() != a.ncols()`; otherwise
-    /// propagates engine/program failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a blocked format with a non-arithmetic semiring.
+    /// [`CoreError::Operand`] if `x.len() != a.ncols()`, or on a blocked
+    /// format with a non-arithmetic semiring; otherwise propagates
+    /// engine/program failures.
     pub fn run(&self, a: &Coo, x: &[f64]) -> Result<SpmvResult, CoreError> {
-        if x.len() != a.ncols() {
+        let SpmmResult {
+            mut ys,
+            run,
+            stats,
+            waves,
+            ..
+        } = self.run_batch(a, &[x])?;
+        Ok(SpmvResult {
+            y: ys.pop().expect("one product per vector"),
+            run,
+            stats,
+            waves,
+        })
+    }
+
+    /// The one SpMV/SpMM wave driver: compute `y_v = A x_v` for every
+    /// vector of `xs` in one pass over the partitioned matrix, each wave
+    /// one launch per cube of the batched stream kernel over the
+    /// block-diagonal expansion described in [`crate::spmm`]. One vector is
+    /// plain SpMV.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Operand`] when a vector's length differs from
+    /// `a.ncols()`, or on a blocked format with a non-arithmetic semiring;
+    /// otherwise propagates engine/program failures.
+    pub(crate) fn run_batch(&self, a: &Coo, xs: &[&[f64]]) -> Result<SpmmResult, CoreError> {
+        let width = xs.len();
+        if let Some((v, x)) = xs.iter().enumerate().find(|(_, x)| x.len() != a.ncols()) {
             return Err(CoreError::Operand(format!(
-                "spmv x has {} entries, the matrix {} columns",
+                "spmv vector {v} has {} entries, the matrix {} columns",
                 x.len(),
                 a.ncols()
             )));
@@ -139,10 +161,11 @@ impl SpmvPim {
         // Blocked fill zeros are inert only when 0·x is the accumulator
         // identity — the arithmetic semiring. Min/Max accumulation would
         // absorb the fill, so refuse rather than corrupt.
-        assert!(
-            !self.format.is_blocked() || (self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add),
-            "blocked formats require the arithmetic (Mul, Add) semiring"
-        );
+        if self.format.is_blocked() && !(self.mul == BinaryOp::Mul && self.acc == BinaryOp::Add) {
+            return Err(CoreError::Operand(
+                "blocked formats require the arithmetic (Mul, Add) semiring".into(),
+            ));
+        }
         let expanded = self.format.expand(a);
         let a = expanded.as_ref().unwrap_or(a);
         let nbanks = self.device.total_banks();
@@ -180,14 +203,16 @@ impl SpmvPim {
 
         let mut host = self.device.make_host();
         let mut run = KernelRun::default();
-        let mut y = vec![identity; a.nrows()];
+        let mut ys = vec![vec![identity; a.nrows()]; width];
 
         for wave in 0..waves {
-            // Broadcast this wave's gathered input slices.
+            // Broadcast this wave's gathered input slices — one slice per
+            // vector per bank (the matrix-side traversal is shared; the
+            // vector-side traffic scales with the width).
             let bcast: usize = per_bank
                 .iter()
                 .filter_map(|q| q.get(wave))
-                .map(|s| s.input_len() * ebytes)
+                .map(|s| s.input_len() * ebytes * width)
                 .sum();
             host.broadcast(bcast);
             mode_cycle(&mut host, program.len());
@@ -198,46 +223,47 @@ impl SpmvPim {
             let mut collect_bytes = 0usize;
             for cube in 0..self.device.cubes {
                 let lo = cube * banks_per_cube;
-                // Equal-rows-per-bank padding within the cube.
-                let max_nnz = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.nnz())
-                    .max()
-                    .unwrap_or(0);
+                // Equal-rows-per-bank padding within the cube: every bank
+                // is sized for the cube's largest submatrix of this wave.
+                let cube_max = |f: fn(&SubMatrix) -> usize| {
+                    (0..banks_per_cube)
+                        .filter_map(|b| per_bank[lo + b].get(wave).copied())
+                        .map(f)
+                        .max()
+                        .unwrap_or(0)
+                };
+                let max_nnz = cube_max(SubMatrix::nnz);
                 if max_nnz == 0 {
                     continue;
                 }
-                let pairs = triple_pairs(max_nnz, lanes);
-                let max_in = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.input_len())
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-                let max_out = (0..banks_per_cube)
-                    .filter_map(|b| per_bank[lo + b].get(wave))
-                    .map(|s| s.output_len())
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
+                // The block-diagonal stream is `width` copies of the
+                // longest bank stream; the sentinel pair still closes it.
+                let pairs = triple_pairs(width * max_nnz, lanes);
+                let max_in = cube_max(SubMatrix::input_len).max(1);
+                let max_out = cube_max(SubMatrix::output_len).max(1);
 
                 let mut engine = self.device.make_engine();
                 let mut bindings: Vec<Option<Binding>> = Vec::new();
                 for b in 0..banks_per_cube {
                     let sub = per_bank[lo + b].get(wave);
                     let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-                    let mut xg = vec![0.0; max_in];
+                    let mut xg = vec![0.0; width * max_in];
                     if let Some(s) = sub {
-                        entries = s.entries.iter().map(|e| (e.row, e.col, e.val)).collect();
-                        for (i, &c) in s.cols.iter().enumerate() {
-                            xg[i] = self.precision.quantize(x[c as usize]);
+                        entries.reserve(width * s.entries.len());
+                        for (v, x) in xs.iter().enumerate() {
+                            let (dr, dc) = ((v * max_out) as u32, (v * max_in) as u32);
+                            entries
+                                .extend(s.entries.iter().map(|e| (e.row + dr, e.col + dc, e.val)));
+                            for (i, &c) in s.cols.iter().enumerate() {
+                                xg[v * max_in + i] = self.precision.quantize(x[c as usize]);
+                            }
                         }
                     }
                     let triples = pack_triples(&entries, lanes, pairs, self.precision);
                     let mem = engine.mem_mut(b);
                     let rt = mem.alloc("triples", ebytes, triples);
                     let rx = mem.alloc("x", ebytes, xg);
-                    let ry = mem.alloc("y", ebytes, vec![identity; max_out]);
+                    let ry = mem.alloc("y", ebytes, vec![identity; width * max_out]);
                     if b == 0 {
                         bindings = batched_sparse_bindings(rt, rx, ry, lanes);
                     }
@@ -256,7 +282,8 @@ impl SpmvPim {
                 }
                 run.absorb_engine(&report);
 
-                // Host accumulates only rows that received partial sums.
+                // Host accumulates only the rows that received partial
+                // sums, for every vector.
                 let y_region = bindings[10].expect("output bound").region;
                 for b in 0..banks_per_cube {
                     if let Some(s) = per_bank[lo + b].get(wave) {
@@ -264,11 +291,13 @@ impl SpmvPim {
                         let mut touched: Vec<u32> = s.entries.iter().map(|e| e.row).collect();
                         touched.sort_unstable();
                         touched.dedup();
-                        for &lr in &touched {
-                            let g = s.row_lo + lr as usize;
-                            y[g] = self.acc.apply(data[lr as usize], y[g]);
+                        for (v, y) in ys.iter_mut().enumerate() {
+                            for &lr in &touched {
+                                let g = s.row_lo + lr as usize;
+                                y[g] = self.acc.apply(data[v * max_out + lr as usize], y[g]);
+                            }
                         }
-                        collect_bytes += touched.len() * (ebytes + 4);
+                        collect_bytes += width * touched.len() * (ebytes + 4);
                     }
                 }
             }
@@ -280,11 +309,12 @@ impl SpmvPim {
         }
         run.absorb_host(&host);
 
-        Ok(SpmvResult {
-            y,
+        Ok(SpmmResult {
+            ys,
             run,
             stats,
             waves,
+            width,
         })
     }
 }
@@ -374,5 +404,38 @@ mod tests {
         let res = tiny_runner(Precision::Fp64).run(&a, &[0.0; 10]).unwrap();
         assert_eq!(res.y, vec![0.0; 10]);
         assert_eq!(res.waves, 0);
+    }
+
+    #[test]
+    fn invalid_operands_are_typed_errors() {
+        // A short x and a blocked format under a non-arithmetic semiring
+        // both come back as `CoreError::Operand`, for one vector or many.
+        let a = gen::rmat(32, 3, 5);
+        let x = gen::dense_vector(32, 1);
+        let short = tiny_runner(Precision::Fp64).run(&a, &x[..31]).unwrap_err();
+        assert!(matches!(short, CoreError::Operand(_)), "{short}");
+        let layout = Layout {
+            format: MatrixFormat::Bcsr { block: 4 },
+            ..Layout::baseline()
+        };
+        let min_plus = SpmvPim::with_semiring(
+            PimDevice::tiny(1),
+            Precision::Fp64,
+            BinaryOp::Add,
+            BinaryOp::Min,
+        )
+        .with_layout(layout);
+        let blocked = min_plus.run(&a, &x).unwrap_err();
+        assert!(matches!(blocked, CoreError::Operand(_)), "{blocked}");
+        let fused = crate::SpmmPim::with_semiring(
+            PimDevice::tiny(1),
+            Precision::Fp64,
+            BinaryOp::Add,
+            BinaryOp::Min,
+        )
+        .with_layout(layout)
+        .run(&a, &[&x[..], &x[..]])
+        .unwrap_err();
+        assert!(matches!(fused, CoreError::Operand(_)), "{fused}");
     }
 }

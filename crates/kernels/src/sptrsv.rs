@@ -28,7 +28,7 @@ use psim_sparse::triangular::UnitTriangular;
 use psim_sparse::{BlockPlan, BlockStep, LevelSchedule, Precision};
 use psyncpim_core::isa::assemble;
 use psyncpim_core::memory::Binding;
-use psyncpim_core::{CoreError, Engine, RegionId};
+use psyncpim_core::{CoreError, RegionId};
 
 /// SpTRSV kernel runner.
 #[derive(Debug, Clone)]
@@ -84,13 +84,16 @@ impl SptrsvPim {
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != t.dim()`.
+    /// [`CoreError::Operand`] if `b.len() != t.dim()`; otherwise
+    /// propagates engine failures.
     pub fn run(&self, t: &UnitTriangular, b: &[f64]) -> Result<SptrsvResult, CoreError> {
-        assert_eq!(b.len(), t.dim(), "sptrsv operand length mismatch");
+        if b.len() != t.dim() {
+            return Err(CoreError::Operand(format!(
+                "sptrsv b has {} entries, the triangle dimension {}",
+                b.len(),
+                t.dim()
+            )));
+        }
         let plan = BlockPlan::build(t.triangle(), t.dim(), self.max_block());
         let mut x = b.to_vec();
         let mut run = KernelRun::default();
@@ -233,12 +236,7 @@ impl SptrsvPim {
                     }
                 }
                 engine.load_kernel(program.clone(), bindings)?;
-                let report = engine.run()?;
-                run.kernel_s += report.seconds;
-                run.dram_cycles += report.dram_cycles;
-                run.absorb_wall(&report);
-                run.absorb_engine(&report);
-                run.phases += 1;
+                run.absorb_phase(&engine.run()?);
             }
         }
 
@@ -256,15 +254,6 @@ impl SptrsvPim {
         run.absorb_host(&host);
         Ok(batches)
     }
-}
-
-/// Collect an [`Engine`]'s per-bank SRF values (helper shared with BLAS
-/// reductions; exposed for diagnostics).
-#[must_use]
-pub fn srf_values(engine: &Engine) -> Vec<f64> {
-    (0..engine.num_banks())
-        .map(|b| engine.pu(b).srf())
-        .collect()
 }
 
 #[cfg(test)]
@@ -348,5 +337,12 @@ mod tests {
         let res = runner().run(&t, &b).unwrap();
         assert_eq!(res.x, b);
         assert_eq!(res.level_batches, 1);
+    }
+
+    #[test]
+    fn mismatched_rhs_is_a_typed_error() {
+        let t = UnitTriangular::from_strict(Triangle::Lower, Coo::new(16, 16)).unwrap();
+        let err = runner().run(&t, &[1.0; 15]).unwrap_err();
+        assert!(matches!(err, CoreError::Operand(_)), "{err}");
     }
 }

@@ -14,12 +14,14 @@
 //! * **Fusion** — same-matrix SpMV jobs (same semiring, precision, class)
 //!   arriving in one admission batch coalesce into a single
 //!   [`psim_kernels::SpmmPim`] pass of up to [`ExecutorConfig::fusion`]
-//!   vectors. The fused kernel's per-vector results are bit-identical to
-//!   per-job SpMV (see `spmm.rs`), so fusion changes *when* jobs finish,
-//!   never *what* they compute. The first member of a group is the
-//!   *leader* and carries the real [`KernelRun`]; followers carry zeroed
-//!   accounting (cycle conservation holds batch-wide) but the group's
-//!   service time (their latency is real).
+//!   vectors. Every SpMV group runs that way, a lone job as width 1, so
+//!   all SpMV work goes through the kernels' one wave driver, whose
+//!   per-vector results do not depend on the width (see `spmm.rs`):
+//!   fusion changes *when* jobs finish, never *what* they compute. The
+//!   first member of a group is the *leader* and carries the real
+//!   [`KernelRun`]; followers carry zeroed accounting (cycle conservation
+//!   holds batch-wide) but the group's service time (their latency is
+//!   real).
 //! * **Work stealing** — jobs are dealt to per-lane deques by projected
 //!   finish time; whenever a lane's deque runs dry it steals the *back*
 //!   of the most-loaded lane. All steal decisions are planned
@@ -43,7 +45,7 @@ use std::time::Instant;
 
 use psim_conc::{AtomicU64, Mutex};
 use psim_kernels::blas1::Blas1Pim;
-use psim_kernels::{CostModel, KernelRun, PimDevice, SpmmPim, SpmvPim, SptrsvPim, MAX_SPMM_WIDTH};
+use psim_kernels::{CostModel, KernelRun, PimDevice, SpmmPim, SptrsvPim, MAX_SPMM_WIDTH};
 use psim_sparse::{Coo, Layout, MatrixFormat, Precision};
 use psim_tune::Autotuner;
 use psyncpim_core::isa::BinaryOp;
@@ -372,12 +374,8 @@ impl ShardExecutor {
                 let p = job.spec.precision;
                 let cycles = match &job.spec.kind {
                     JobKind::Spmv { a, mul, acc, .. } => {
-                        if self.cfg.autotune {
-                            let layout = self.tuned_layout(a, p, *mul, *acc);
-                            model.spmv_layout(a, p, layout).cycles
-                        } else {
-                            model.spmv(a, p).cycles
-                        }
+                        let layout = self.tuned_layout(a, p, *mul, *acc);
+                        model.spmv_layout(a, p, layout).cycles
                     }
                     JobKind::Sptrsv { t, .. } => model.sptrsv(t, p).cycles,
                     JobKind::Axpy { x, .. } => model.axpy(x.len(), p).cycles,
@@ -485,54 +483,50 @@ impl ShardExecutor {
                     unreachable!("fused groups are SpMV by construction")
                 };
                 let p = group.jobs[0].spec.precision;
-                let model = CostModel::new(&self.shard_device);
-                let est = if self.cfg.autotune {
-                    let layout = self.tuned_layout(a, p, *mul, *acc);
-                    model.spmm_layout(a, group.jobs.len(), p, layout)
-                } else {
-                    model.spmm(a, group.jobs.len(), p)
-                };
-                est.cycles.max(1)
+                let layout = self.tuned_layout(a, p, *mul, *acc);
+                CostModel::new(&self.shard_device)
+                    .spmm_layout(a, group.jobs.len(), p, layout)
+                    .cycles
+                    .max(1)
             }
         }
     }
 
-    /// Execute one group on the shard device: the fused SpMM pass for
-    /// multi-member groups, the job's own kernel for singletons. Returns
-    /// one value per member (member order) plus the group's [`KernelRun`].
+    /// Execute one group on the shard device: every SpMV group, solo or
+    /// fused, is one SpMM pass over its members' vectors; any other job
+    /// runs its own kernel. Returns one value per member (member order)
+    /// plus the group's [`KernelRun`].
     fn run_group(&self, group: &Group) -> GroupOutcome {
         let leader = &group.jobs[0];
         let fail = |e: String| SchedError::JobFailed {
             id: leader.id,
             error: e,
         };
-        let (values, run) = if group.jobs.len() == 1 {
-            let (value, run) = self.run_kernel(leader).map_err(|e| fail(e.to_string()))?;
-            (vec![value], run)
-        } else {
-            let JobKind::Spmv { a, mul, acc, .. } = &leader.spec.kind else {
-                unreachable!("fused groups are SpMV by construction")
-            };
-            let xs: Vec<Vec<f64>> = group
+        let (values, run) = if let JobKind::Spmv { a, mul, acc, .. } = &leader.spec.kind {
+            let xs: Vec<&[f64]> = group
                 .jobs
                 .iter()
                 .map(|j| {
                     let JobKind::Spmv { x, .. } = &j.spec.kind else {
-                        unreachable!("fused groups are SpMV by construction")
+                        unreachable!("SpMV groups hold only SpMV jobs")
                     };
-                    x.clone()
+                    x.as_slice()
                 })
                 .collect();
             let layout = self.tuned_layout(a, leader.spec.precision, *mul, *acc);
-            let spmm = SpmmPim::with_semiring(
+            let r = SpmmPim::with_semiring(
                 self.shard_device.clone(),
                 leader.spec.precision,
                 *mul,
                 *acc,
             )
-            .with_layout(layout);
-            let r = spmm.run(a, &xs).map_err(|e| fail(e.to_string()))?;
+            .with_layout(layout)
+            .run(a, &xs)
+            .map_err(|e| fail(e.to_string()))?;
             (r.ys.into_iter().map(JobValue::Vector).collect(), r.run)
+        } else {
+            let (value, run) = self.run_kernel(leader).map_err(|e| fail(e.to_string()))?;
+            (vec![value], run)
         };
         if run.violations > 0 {
             return Err(fail(format!(
@@ -543,21 +537,15 @@ impl ShardExecutor {
         Ok((values, run))
     }
 
-    /// Dispatch one job's kernel on the shard device.
+    /// Dispatch one non-SpMV job's kernel on the shard device (SpMV jobs
+    /// run as groups, see `Self::run_group`).
     fn run_kernel(&self, job: &Job) -> Result<(JobValue, KernelRun), CoreError> {
-        let dev = self.shard_device.clone();
         let precision = job.spec.precision;
         let blas = || Blas1Pim::new(self.shard_device.clone(), precision);
         match &job.spec.kind {
-            JobKind::Spmv { a, x, mul, acc } => {
-                let layout = self.tuned_layout(a, precision, *mul, *acc);
-                let r = SpmvPim::with_semiring(dev, precision, *mul, *acc)
-                    .with_layout(layout)
-                    .run(a, x)?;
-                Ok((JobValue::Vector(r.y), r.run))
-            }
+            JobKind::Spmv { .. } => unreachable!("SpMV jobs run through run_group"),
             JobKind::Sptrsv { t, b } => {
-                let mut solver = SptrsvPim::new(dev);
+                let mut solver = SptrsvPim::new(self.shard_device.clone());
                 solver.precision = precision;
                 let r = solver.run(t, b)?;
                 Ok((JobValue::Vector(r.x), r.run))
@@ -877,6 +865,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use crate::queue::SubmitError;
+    use psim_kernels::SpmvPim;
     use serde::Serialize as _;
     use std::sync::Arc;
 

@@ -161,7 +161,7 @@ fn golden_runs_are_reproducible() {
 
 #[test]
 fn engine_fingerprints_match_golden() {
-    // 13 kernels x {psync_1x+validate, tiny(2)+trace} x {AllBank, PerBank}:
+    // 14 kernels x {psync_1x+validate, tiny(2)+trace} x {AllBank, PerBank}:
     // every cycle, command count, attribution vector and output bit of the
     // engine, pinned (see `psim_kernels::fingerprint`).
     let fps = fingerprint::engine_fingerprints();
